@@ -55,11 +55,6 @@ void KMeansCentroidState::Serialize(BufferWriter* writer) const {
 
 void KMeansShardState::Serialize(BufferWriter* writer) const {
   writer->PutU8(1);  // state-flavour tag
-  writer->PutVarint(points.size());
-  for (const auto& [id, coords] : points) {
-    writer->PutVarint(id);
-    writer->PutDoubleVec(coords);
-  }
   writer->PutVarint(assignment.size());
   for (const auto& [id, k] : assignment) {
     writer->PutVarint(id);
@@ -73,6 +68,26 @@ void KMeansShardState::Serialize(BufferWriter* writer) const {
   PutSums(writer, sums);
   PutSums(writer, last_sent);
   writer->PutU8(targets_added ? 1 : 0);
+}
+
+void KMeansShardState::SerializeInput(BufferWriter* writer) const {
+  writer->PutVarint(points.size());
+  for (const auto& [id, coords] : points) {
+    writer->PutVarint(id);
+    writer->PutDoubleVec(coords);
+  }
+}
+
+void KMeansShardState::DeserializeInput(BufferReader* reader) {
+  uint64_t n = 0;
+  TCHECK(reader->GetVarint(&n).ok());
+  for (uint64_t i = 0; i < n; ++i) {
+    uint64_t id = 0;
+    std::vector<double> coords;
+    TCHECK(reader->GetVarint(&id).ok());
+    TCHECK(reader->GetDoubleVec(&coords).ok());
+    points.emplace(id, std::move(coords));
+  }
 }
 
 std::unique_ptr<VertexState> KMeansProgram::CreateState(VertexId id) const {
@@ -105,14 +120,6 @@ std::unique_ptr<VertexState> KMeansProgram::DeserializeState(
   }
   auto state = std::make_unique<KMeansShardState>();
   uint64_t n = 0;
-  TCHECK(reader->GetVarint(&n).ok());
-  for (uint64_t i = 0; i < n; ++i) {
-    uint64_t id = 0;
-    std::vector<double> coords;
-    TCHECK(reader->GetVarint(&id).ok());
-    TCHECK(reader->GetDoubleVec(&coords).ok());
-    state->points.emplace(id, std::move(coords));
-  }
   TCHECK(reader->GetVarint(&n).ok());
   for (uint64_t i = 0; i < n; ++i) {
     uint64_t id = 0, k = 0;

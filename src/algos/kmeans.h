@@ -55,9 +55,12 @@ struct KMeansCentroidState : VertexState {
   void Serialize(BufferWriter* writer) const override;
 };
 
-/// Per-shard state.
+/// Per-shard state. The points change only in OnInput, so they are the
+/// input part; assignments and aggregates are the iteration part.
 struct KMeansShardState : VertexState {
+  // Input part.
   FlatMap<uint64_t, std::vector<double>, 8> points;
+  // Iteration part.
   FlatMap<uint64_t, uint32_t, 8> assignment;  // point -> centroid index
   FlatMap<uint32_t, std::vector<double>, 8> centroid_pos;
   // Running per-centroid aggregates of this shard's points.
@@ -66,6 +69,8 @@ struct KMeansShardState : VertexState {
   bool targets_added = false;
 
   void Serialize(BufferWriter* writer) const override;
+  void SerializeInput(BufferWriter* writer) const override;
+  void DeserializeInput(BufferReader* reader) override;
 };
 
 /// Streaming KMeans (the Figure 5c / 9 / Table 3 workload).

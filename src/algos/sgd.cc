@@ -84,11 +84,19 @@ void SgdParamState::Serialize(BufferWriter* writer) const {
 
 void SgdShardState::Serialize(BufferWriter* writer) const {
   writer->PutU8(1);  // state-flavour tag
-  PutInstances(writer, sample);
-  writer->PutVarint(seen);
   writer->PutDoubleVec(weights);
   writer->PutU8(has_weights ? 1 : 0);
   writer->PutU8(targets_added ? 1 : 0);
+}
+
+void SgdShardState::SerializeInput(BufferWriter* writer) const {
+  PutInstances(writer, sample);
+  writer->PutVarint(seen);
+}
+
+void SgdShardState::DeserializeInput(BufferReader* reader) {
+  GetInstances(reader, &sample);
+  TCHECK(reader->GetVarint(&seen).ok());
 }
 
 std::unique_ptr<VertexState> SgdProgram::CreateState(VertexId id) const {
@@ -140,8 +148,6 @@ std::unique_ptr<VertexState> SgdProgram::DeserializeState(
   }
   auto state = std::make_unique<SgdShardState>();
   uint8_t flag = 0;
-  GetInstances(reader, &state->sample);
-  TCHECK(reader->GetVarint(&state->seen).ok());
   TCHECK(reader->GetDoubleVec(&state->weights).ok());
   TCHECK(reader->GetU8(&flag).ok());
   state->has_weights = flag != 0;
@@ -182,7 +188,10 @@ double SgdProgram::InstanceLoss(SgdLoss loss, const std::vector<double>& w,
   for (const auto& [idx, value] : instance.features) {
     if (idx < w.size()) dot += w[idx] * value;
   }
-  const double margin = instance.label * dot;
+  return MarginLoss(loss, instance.label * dot);
+}
+
+double SgdProgram::MarginLoss(SgdLoss loss, double margin) {
   if (loss == SgdLoss::kSvmHinge) {
     return std::max(0.0, 1.0 - margin);
   }
@@ -200,9 +209,14 @@ double SgdProgram::Objective(SgdLoss loss, double regularization,
   for (const SgdInstance& inst : instances) {
     total += InstanceLoss(loss, w, inst);
   }
+  return RegularizedMean(total, instances.size(), regularization, w);
+}
+
+double SgdProgram::RegularizedMean(double loss_sum, size_t count,
+                                   double regularization,
+                                   const std::vector<double>& w) {
   const double norm2 = kernel::Kernels().dot(w.data(), w.data(), w.size());
-  return total / static_cast<double>(instances.size()) +
-         0.5 * regularization * norm2;
+  return loss_sum / static_cast<double>(count) + 0.5 * regularization * norm2;
 }
 
 void SgdProgram::AccumulateGradient(const std::vector<double>& w,

@@ -94,15 +94,22 @@ struct SgdParamState : VertexState {
   void Serialize(BufferWriter* writer) const override;
 };
 
-/// Shard state: reservoir sample plus the latest model copy.
+/// Shard state: reservoir sample plus the latest model copy. The
+/// reservoir and its counter change only in OnInput, so they are the
+/// input part: a commit that follows no input (every branch-loop commit)
+/// writes only the model copy and flags.
 struct SgdShardState : VertexState {
+  // Input part.
   std::vector<SgdInstance> sample;
   uint64_t seen = 0;
+  // Iteration part.
   std::vector<double> weights;
   bool has_weights = false;
   bool targets_added = false;
 
   void Serialize(BufferWriter* writer) const override;
+  void SerializeInput(BufferWriter* writer) const override;
+  void DeserializeInput(BufferReader* reader) override;
 };
 
 /// Distributed SGD for SVM (hinge loss, the HIGGS workload) and logistic
@@ -152,10 +159,19 @@ class SgdProgram : public BatchVertexProgram {
   static double InstanceLoss(SgdLoss loss, const std::vector<double>& w,
                              const SgdInstance& instance);
 
+  /// The same loss from the instance's margin y * (w . x).
+  static double MarginLoss(SgdLoss loss, double margin);
+
   /// Mean loss of a set of instances plus L2 regularization.
   static double Objective(SgdLoss loss, double regularization,
                           const std::vector<double>& w,
                           const std::vector<SgdInstance>& instances);
+
+  /// Objective from the summed instance losses `loss_sum` over `count`
+  /// (> 0) instances: loss_sum / count + regularization / 2 * |w|^2.
+  static double RegularizedMean(double loss_sum, size_t count,
+                                double regularization,
+                                const std::vector<double>& w);
 
   /// Router for InstanceDelta streams.
   static InputRouter MakeRouter(const SgdOptions& options);

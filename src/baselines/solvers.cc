@@ -118,6 +118,44 @@ KMeansSolution SolveKMeans(
   return out;
 }
 
+namespace {
+
+/// One pass over `instances` at `w`: returns the objective there and
+/// leaves the loss gradient's sum in `grad`. Each instance's dot product
+/// serves both, and the losses add up in SgdProgram::Objective's order, so
+/// the objective is bit-identical to it.
+double ObjectiveAndGradient(const std::vector<SgdInstance>& instances,
+                            SgdLoss loss, double regularization,
+                            const std::vector<double>& w,
+                            std::vector<double>* grad) {
+  const size_t dims = w.size();
+  grad->assign(dims, 0.0);
+  double loss_sum = 0.0;
+  for (const SgdInstance& inst : instances) {
+    double dot = 0.0;
+    for (const auto& [idx, value] : inst.features) {
+      if (idx < dims) dot += w[idx] * value;
+    }
+    const double margin = inst.label * dot;
+    loss_sum += SgdProgram::MarginLoss(loss, margin);
+    double scale = 0.0;
+    if (loss == SgdLoss::kSvmHinge) {
+      if (margin < 1.0) scale = -inst.label;
+    } else {
+      const double m = std::clamp(margin, -30.0, 30.0);
+      scale = -inst.label / (1.0 + std::exp(m));
+    }
+    if (scale == 0.0) continue;
+    for (const auto& [idx, value] : inst.features) {
+      if (idx < dims) (*grad)[idx] += scale * value;
+    }
+  }
+  return SgdProgram::RegularizedMean(loss_sum, instances.size(),
+                                     regularization, w);
+}
+
+}  // namespace
+
 SgdSolution SolveSgd(const std::vector<SgdInstance>& instances, SgdLoss loss,
                      double regularization, double rate,
                      std::vector<double> warm, double tolerance,
@@ -126,31 +164,16 @@ SgdSolution SolveSgd(const std::vector<SgdInstance>& instances, SgdLoss loss,
   out.weights = std::move(warm);
   if (instances.empty()) return out;
   const size_t dims = out.weights.size();
-  out.objective =
-      SgdProgram::Objective(loss, regularization, out.weights, instances);
+  // Each pass evaluates the objective at the current weights together with
+  // the gradient the next step descends along; the last pass's gradient
+  // goes unused.
+  std::vector<double> grad;
+  out.objective = ObjectiveAndGradient(instances, loss, regularization,
+                                       out.weights, &grad);
 
   for (int iter = 0; iter < max_iterations; ++iter) {
     ++out.iterations;
-    std::vector<double> grad(dims, 0.0);
-    for (const SgdInstance& inst : instances) {
-      ++out.gradient_terms;
-      double dot = 0.0;
-      for (const auto& [idx, value] : inst.features) {
-        if (idx < dims) dot += out.weights[idx] * value;
-      }
-      const double margin = inst.label * dot;
-      double scale = 0.0;
-      if (loss == SgdLoss::kSvmHinge) {
-        if (margin < 1.0) scale = -inst.label;
-      } else {
-        const double m = std::clamp(margin, -30.0, 30.0);
-        scale = -inst.label / (1.0 + std::exp(m));
-      }
-      if (scale == 0.0) continue;
-      for (const auto& [idx, value] : inst.features) {
-        if (idx < dims) grad[idx] += scale * value;
-      }
-    }
+    out.gradient_terms += instances.size();
     const double n = static_cast<double>(instances.size());
     // 1/t rate decay guarantees convergence of the subgradient method on
     // the hinge loss (constant rates oscillate around the optimum).
@@ -162,8 +185,8 @@ SgdSolution SolveSgd(const std::vector<SgdInstance>& instances, SgdLoss loss,
       out.weights[d] -= step;
       step_l1 += std::fabs(step);
     }
-    const double objective =
-        SgdProgram::Objective(loss, regularization, out.weights, instances);
+    const double objective = ObjectiveAndGradient(
+        instances, loss, regularization, out.weights, &grad);
     const double improvement = out.objective - objective;
     out.objective = objective;
     // Stop when either the objective or the iterate stops moving.

@@ -2,7 +2,7 @@
 
 namespace tornado {
 
-void BufferWriter::PutVarint(uint64_t v) {
+void BufferWriter::PutVarintSlow(uint64_t v) {
   while (v >= 0x80) {
     buf_.push_back(static_cast<uint8_t>(v) | 0x80);
     v >>= 7;
@@ -48,14 +48,12 @@ Status BufferReader::GetString(std::string* out) {
 Status BufferReader::GetDoubleVec(std::vector<double>* out) {
   uint64_t len = 0;
   if (Status s = GetVarint(&len); !s.ok()) return s;
-  if (pos_ + len * sizeof(double) > size_) {
+  if (len > remaining() / sizeof(double)) {
     return Status::OutOfRange("double vector truncated");
   }
   out->resize(len);
-  for (uint64_t i = 0; i < len; ++i) {
-    if (Status s = GetDouble(&(*out)[i]); !s.ok()) return s;
-  }
-  return Status::Ok();
+  if (len == 0) return Status::Ok();
+  return GetRaw(out->data(), len * sizeof(double));
 }
 
 Status BufferReader::GetU64Vec(std::vector<uint64_t>* out) {

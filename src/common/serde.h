@@ -21,17 +21,26 @@ class BufferWriter {
   void PutI64(int64_t v) { PutRaw(&v, sizeof(v)); }
   void PutDouble(double v) { PutRaw(&v, sizeof(v)); }
 
-  /// LEB128 variable-length unsigned integer.
-  void PutVarint(uint64_t v);
+  /// LEB128 variable-length unsigned integer. Values below 128 (counts,
+  /// small ids, tags) take the inline one-byte path.
+  void PutVarint(uint64_t v) {
+    if (v < 0x80) {
+      buf_.push_back(static_cast<uint8_t>(v));
+      return;
+    }
+    PutVarintSlow(v);
+  }
 
   void PutString(const std::string& s) {
     PutVarint(s.size());
     PutRaw(s.data(), s.size());
   }
 
+  /// Length, then the doubles in one copy (the same bytes as one
+  /// PutDouble per element).
   void PutDoubleVec(const std::vector<double>& v) {
     PutVarint(v.size());
-    for (double d : v) PutDouble(d);
+    if (!v.empty()) PutRaw(v.data(), v.size() * sizeof(double));
   }
 
   void PutU64Vec(const std::vector<uint64_t>& v) {
@@ -44,6 +53,8 @@ class BufferWriter {
   size_t size() const { return buf_.size(); }
 
  private:
+  void PutVarintSlow(uint64_t v);
+
   void PutRaw(const void* p, size_t n) {
     const auto* b = static_cast<const uint8_t*>(p);
     buf_.insert(buf_.end(), b, b + n);

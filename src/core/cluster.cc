@@ -236,7 +236,13 @@ std::unique_ptr<VertexState> TornadoCluster::ReadVertexStateAt(
   const VersionView blob = store_.Get(loop, vertex, iteration);
   if (!blob) return nullptr;
   BufferReader reader(blob.data(), blob.size());
-  return config_.program->DeserializeState(&reader);
+  std::unique_ptr<VertexState> state =
+      config_.program->DeserializeState(&reader);
+  if (blob.input() != nullptr) {
+    BufferReader input(*blob.input());
+    state->DeserializeInput(&input);
+  }
+  return state;
 }
 
 std::unique_ptr<VertexState> TornadoCluster::ReadVertexState(

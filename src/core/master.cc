@@ -290,8 +290,21 @@ void Master::Terminate(LoopControl& lc, Iteration upto) {
                     {{"loop", lc.loop}, {"upto", upto}});
   }
   // History below the last terminated iteration can never be forked from
-  // or rolled back to again; garbage-collect it.
-  if (upto > 0) store_->PruneBelow(lc.loop, upto - 1);
+  // or rolled back to again; garbage-collect it. The exception is the fork
+  // snapshot of a branch that has not terminated an iteration yet: a
+  // processor failure re-forks such a branch from its parent
+  // (RecoverAfterProcessorFailure), so the snapshot must stay readable.
+  if (upto > 0) {
+    Iteration keep = upto - 1;
+    // NOLINTNEXTLINE(DET-003): min-aggregation is order-insensitive.
+    for (const auto& [id, other] : loops_) {
+      if (other.is_branch && other.parent == lc.loop && !other.converged &&
+          other.last_terminated == kNoIteration) {
+        keep = std::min(keep, other.snapshot_iteration);
+      }
+    }
+    store_->PruneBelow(lc.loop, keep);
+  }
   auto term = std::make_shared<TerminatedMsg>();
   term->loop = lc.loop;
   term->epoch = lc.epoch;

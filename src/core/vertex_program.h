@@ -12,12 +12,35 @@
 
 namespace tornado {
 
-/// Durable per-vertex algorithm state. Programs subclass this; the engine
-/// serializes it (together with the vertex's target list) into the
-/// versioned store on every commit.
+/// Durable per-vertex algorithm state. Programs subclass this. A state has
+/// two parts:
+///
+/// - The *iteration part* (Serialize / VertexProgram::DeserializeState):
+///   everything an iteration may change. The engine writes it, together
+///   with the vertex's target list, into the versioned store on every
+///   commit.
+/// - The optional *input part* (SerializeInput / DeserializeInput): the
+///   loop-invariant fields that only VertexProgram::OnInput may change,
+///   such as an SGD shard's instance reservoir. The engine re-encodes it
+///   only when the vertex gathered an input since its last commit; the
+///   store keeps each encoding as one immutable blob that later versions,
+///   branch forks and merges share by reference.
+///
+/// Contract: no callback other than OnInput may change the input part.
+/// TORNADO_CHECK builds re-encode it on every commit that follows no input
+/// and abort if it differs from the shared blob.
 struct VertexState {
   virtual ~VertexState() = default;
   virtual void Serialize(BufferWriter* writer) const = 0;
+
+  /// Writes the input part. Default: the state has none (writes nothing).
+  virtual void SerializeInput(BufferWriter* writer) const { (void)writer; }
+
+  /// Restores the input part written by SerializeInput into a state that
+  /// DeserializeState built from the iteration part. It is a state method,
+  /// not a program method, so program wrappers that forward only the
+  /// VertexProgram callbacks keep restoring it.
+  virtual void DeserializeInput(BufferReader* reader) { (void)reader; }
 };
 
 /// The view a program callback has of its vertex. Mirrors the paper's
@@ -82,13 +105,16 @@ class VertexProgram {
   /// Creates the initial state of a new vertex (vertex::init()).
   virtual std::unique_ptr<VertexState> CreateState(VertexId id) const = 0;
 
-  /// Restores a state serialized by VertexState::Serialize.
+  /// Restores a state serialized by VertexState::Serialize (the iteration
+  /// part; the engine then restores the input part, if any, through
+  /// VertexState::DeserializeInput).
   virtual std::unique_ptr<VertexState> DeserializeState(
       BufferReader* reader) const = 0;
 
   /// Gathers one external input delta (only delivered in the main loop).
   /// Returns whether the vertex's state changed — only then does the
-  /// engine schedule an update of the vertex.
+  /// engine schedule an update of the vertex. The only callback that may
+  /// change the state's input part (VertexState::SerializeInput).
   virtual bool OnInput(VertexContext& ctx, const Delta& delta) const = 0;
 
   /// Gathers one committed update from producer `source`. Returns whether

@@ -291,6 +291,7 @@ void ProtocolStateMachine::GatherInput(LoopState& ls, VertexSession& s,
   // stream would keep adding work to tau and no iteration of the main
   // loop could ever terminate.
   if (s.iter < ls.tau + 1) s.iter = ls.tau + 1;
+  s.input_changed = true;  // OnInput may change the state's input part
   EngineContext ctx(EngineContext::Mode::kInput, ls.loop, s.iter, &s,
                     &out->cost);
   const bool changed = config_->program->OnInput(ctx, delta);
@@ -810,6 +811,8 @@ void ProtocolStateMachine::HandleAdoptMerge(const AdoptMergeMsg& msg) {
       continue;
     }
     s.state = std::move(fresh.state);
+    s.input = std::move(fresh.input);
+    s.input_changed = false;
     s.SetTargets(fresh.targets());
     s.iter = std::max(s.iter, msg.merge_iteration);
     if (s.last_commit == kNoIteration || s.last_commit < msg.merge_iteration) {

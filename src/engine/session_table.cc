@@ -1,11 +1,25 @@
 #include "engine/session_table.h"
 
+#include <memory>
 #include <utility>
 
 #include "common/logging.h"
 #include "common/serde.h"
 
 namespace tornado {
+
+namespace {
+
+InputBlob EncodeInput(const VertexState& state) {
+  BufferWriter writer;
+  state.SerializeInput(&writer);
+  if (writer.size() == 0) return nullptr;
+  // Copied rather than moved: the blob outlives many commits, and the
+  // writer's buffer can carry up to twice its size in spare capacity.
+  return std::make_shared<const std::vector<uint8_t>>(writer.data());
+}
+
+}  // namespace
 
 SessionTable::SessionTable(const JobConfig* config, VersionedStore* store)
     : config_(config), store_(store) {}
@@ -45,7 +59,14 @@ bool SessionTable::LoadFromStore(const LoopState& ls, VertexId id,
   out->state = config_->program->DeserializeState(&reader);
   std::vector<uint64_t> targets;
   TCHECK(reader.GetU64Vec(&targets).ok()) << "corrupt vertex record";
-  out->SetTargets(std::vector<VertexId>(targets.begin(), targets.end()));
+  out->SetTargets(std::move(targets));
+  out->input = blob.input();
+  out->input_changed = false;
+  if (out->input != nullptr) {
+    BufferReader input(*out->input);
+    out->state->DeserializeInput(&input);
+    TCHECK(input.AtEnd()) << "corrupt vertex input part";
+  }
   const Iteration version = store_->GetVersionIteration(ls.loop, id, at);
   out->iter = version;
   out->last_commit = version;
@@ -62,6 +83,7 @@ VertexSession& SessionTable::GetOrCreate(LoopState& ls, VertexId id,
   s.rng = MakeVertexRng(ls.loop, id);
   if (!LoadFromStore(ls, id, load_at, &s)) {
     s.state = config_->program->CreateState(id);
+    s.input_changed = true;
     s.iter = ls.tau;
     s.last_commit = kNoIteration;
   }
@@ -70,11 +92,23 @@ VertexSession& SessionTable::GetOrCreate(LoopState& ls, VertexId id,
 
 void SessionTable::Persist(LoopState& ls, VertexSession& s,
                            Iteration iteration) {
+#ifdef TORNADO_CHECK
+  if (!s.input_changed) {
+    const InputBlob now = EncodeInput(*s.state);
+    TCHECK((now == nullptr && s.input == nullptr) ||
+           (now != nullptr && s.input != nullptr && *now == *s.input))
+        << "vertex " << s.id << " of loop " << ls.loop
+        << " changed its input part outside OnInput";
+  }
+#endif
+  if (s.input_changed) {
+    s.input = EncodeInput(*s.state);
+    s.input_changed = false;
+  }
   BufferWriter writer;
   s.state->Serialize(&writer);
-  writer.PutU64Vec(
-      std::vector<uint64_t>(s.targets().begin(), s.targets().end()));
-  store_->Put(ls.loop, s.id, iteration, writer.Release());
+  writer.PutU64Vec(s.targets());
+  store_->Put(ls.loop, s.id, iteration, writer.Release(), s.input);
   ++ls.writes_since_flush;
 }
 

@@ -73,13 +73,15 @@ class SessionTable {
   /// store's snapshot at `load_at`, else fresh program-initialized state.
   VertexSession& GetOrCreate(LoopState& ls, VertexId id, Iteration load_at);
 
-  /// Loads `id`'s newest version <= `at` into `out` (state, consumer set,
-  /// iteration numbers). Returns false if no version exists.
+  /// Loads `id`'s newest version <= `at` into `out` (both state parts,
+  /// consumer set, iteration numbers). Returns false if no version exists.
   bool LoadFromStore(const LoopState& ls, VertexId id, Iteration at,
                      VertexSession* out) const;
 
-  /// Serializes state + consumer set into the store at `iteration` and
-  /// counts the version toward the next checkpoint flush.
+  /// Serializes the state's iteration part + consumer set into the store
+  /// at `iteration`, together with its input part: re-encoded if an input
+  /// was gathered since the last persist, else the blob the session
+  /// already holds. Counts the version toward the next checkpoint flush.
   void Persist(LoopState& ls, VertexSession& s, Iteration iteration);
 
   /// Flushes dirty versions up to `horizon` (Section 5.3's

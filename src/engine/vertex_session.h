@@ -14,6 +14,7 @@
 #include "common/types.h"
 #include "core/messages.h"
 #include "core/vertex_program.h"
+#include "storage/versioned_store.h"
 
 namespace tornado {
 
@@ -33,6 +34,12 @@ struct DeferredAck {
 struct VertexSession {
   VertexId id = 0;
   std::unique_ptr<VertexState> state;
+  // The state's encoded input part as last loaded or persisted, shared
+  // with the store's versions (null: no input part). Re-encoded on the
+  // next persist only when `input_changed`: an input was gathered since,
+  // or the state is fresh and its input part was never encoded.
+  InputBlob input;
+  bool input_changed = false;
   Iteration iter = 0;              // protocol iteration number
   Iteration last_commit = kNoIteration;
   std::optional<LamportTime> update_time;  // set while preparing

@@ -40,7 +40,8 @@ Status CheckpointLog::Open(const std::string& path) {
 }
 
 Status CheckpointLog::Append(LoopId loop, VertexId vertex, Iteration iteration,
-                             const uint8_t* data, size_t size) {
+                             const uint8_t* data, size_t size,
+                             const std::vector<uint8_t>* input) {
   if (file_ == nullptr) return Status::FailedPrecondition("log not open");
   std::vector<uint8_t> record;
   record.resize(sizeof(uint32_t) + sizeof(uint64_t) * 2 + sizeof(uint32_t));
@@ -54,6 +55,13 @@ Status CheckpointLog::Append(LoopId loop, VertexId vertex, Iteration iteration,
   const uint32_t len = static_cast<uint32_t>(size);
   std::memcpy(p, &len, sizeof(len));
   record.insert(record.end(), data, data + size);
+  const uint32_t input_len =
+      input == nullptr ? 0 : static_cast<uint32_t>(input->size());
+  const auto* len_bytes = reinterpret_cast<const uint8_t*>(&input_len);
+  record.insert(record.end(), len_bytes, len_bytes + sizeof(input_len));
+  if (input != nullptr) {
+    record.insert(record.end(), input->begin(), input->end());
+  }
   const uint32_t crc = Crc32c(record.data(), record.size());
 
   if (std::fwrite(record.data(), 1, record.size(), file_) != record.size() ||
@@ -90,13 +98,24 @@ Result<size_t> CheckpointLog::Replay(const std::string& path,
     std::memcpy(&len, p, sizeof(len));
     std::vector<uint8_t> value(len);
     if (len > 0 && !ReadExact(f, value.data(), len)) break;
+    uint32_t input_len = 0;
+    if (!ReadExact(f, &input_len, sizeof(input_len))) break;
+    std::vector<uint8_t> input(input_len);
+    if (input_len > 0 && !ReadExact(f, input.data(), input_len)) break;
     uint32_t crc = 0;
     if (!ReadExact(f, &crc, sizeof(crc))) break;
     std::vector<uint8_t> record(header, header + sizeof(header));
     record.insert(record.end(), value.begin(), value.end());
+    const auto* len_bytes = reinterpret_cast<const uint8_t*>(&input_len);
+    record.insert(record.end(), len_bytes, len_bytes + sizeof(input_len));
+    record.insert(record.end(), input.begin(), input.end());
     const uint32_t expect = Crc32c(record.data(), record.size());
     if (crc != expect) break;  // torn/corrupt tail
-    store->Put(loop, vertex, iteration, std::move(value));
+    InputBlob blob;
+    if (input_len > 0) {
+      blob = std::make_shared<const std::vector<uint8_t>>(std::move(input));
+    }
+    store->Put(loop, vertex, iteration, std::move(value), std::move(blob));
     ++applied;
   }
   std::fclose(f);

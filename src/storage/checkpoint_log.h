@@ -21,7 +21,10 @@ class VersionedStore;
 /// VersionedStore on recovery.
 ///
 /// Record layout (little-endian):
-///   u32 loop | u64 vertex | u64 iteration | u32 len | len bytes | u32 crc
+///   u32 loop | u64 vertex | u64 iteration | u32 len | len bytes |
+///   u32 input_len | input_len bytes | u32 crc
+/// where the first byte run is the version's iteration part and the second
+/// its input part (empty when the version has none).
 class CheckpointLog {
  public:
   CheckpointLog() = default;
@@ -33,17 +36,19 @@ class CheckpointLog {
   /// Opens (creating if needed) the log at `path` for appending.
   Status Open(const std::string& path);
 
-  /// Appends one version record and fsync-equivalently flushes it.
+  /// Appends one version record (iteration part `data`, input part
+  /// `input`) and fsync-equivalently flushes it.
   Status Append(LoopId loop, VertexId vertex, Iteration iteration,
-                const uint8_t* data, size_t size);
+                const uint8_t* data, size_t size,
+                const std::vector<uint8_t>* input = nullptr);
   Status Append(LoopId loop, VertexId vertex, Iteration iteration,
                 const std::vector<uint8_t>& value) {
     return Append(loop, vertex, iteration, value.data(), value.size());
   }
 
-  /// Replays all intact records into `store` (later records win). Stops at
-  /// the first torn/corrupt record, mimicking WAL recovery semantics.
-  /// Returns the number of records applied.
+  /// Replays all intact records into `store` (later records win), both
+  /// parts of each. Stops at the first torn/corrupt record, mimicking WAL
+  /// recovery semantics. Returns the number of records applied.
   Result<size_t> Replay(const std::string& path, VersionedStore* store) const;
 
   Status Close();

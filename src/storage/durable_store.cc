@@ -50,8 +50,8 @@ std::vector<LoopId> DurableStore::CollectLoops() const {
 }
 
 void DurableStore::Put(LoopId loop, VertexId vertex, Iteration iteration,
-                       std::vector<uint8_t> value) {
-  store_.Put(loop, vertex, iteration, std::move(value));
+                       std::vector<uint8_t> value, InputBlob input) {
+  store_.Put(loop, vertex, iteration, std::move(value), std::move(input));
 }
 
 Result<size_t> DurableStore::FlushLocked(LoopId loop, Iteration iteration) {
@@ -86,7 +86,7 @@ Result<size_t> DurableStore::FlushLocked(LoopId loop, Iteration iteration) {
     }
     for (auto it = pending.rbegin(); it != pending.rend(); ++it) {
       if (Status s = log_.Append(loop, v, it->first, it->second.data(),
-                                 it->second.size());
+                                 it->second.size(), it->second.input().get());
           !s.ok()) {
         return s;
       }

@@ -35,7 +35,7 @@ class DurableStore {
 
   /// See VersionedStore::Put. Writes are buffered in memory until Flush.
   void Put(LoopId loop, VertexId vertex, Iteration iteration,
-           std::vector<uint8_t> value);
+           std::vector<uint8_t> value, InputBlob input = nullptr);
 
   /// Makes all versions of `loop` up to `iteration` durable: appends the
   /// newly-covered versions to the log, then advances the watermark.

@@ -17,7 +17,7 @@ bool CoveredBy(Iteration iter, Iteration watermark) {
 
 void VersionedStore::PutBytesLocked(LoopId loop, VertexId vertex,
                                     Iteration iteration, const uint8_t* data,
-                                    size_t size) {
+                                    size_t size, InputBlob input) {
   LoopData& loop_data = loops_[loop];
   Chain& chain = loop_data.chains[vertex];
 
@@ -28,6 +28,7 @@ void VersionedStore::PutBytesLocked(LoopId loop, VertexId vertex,
   VersionEntry entry;
   entry.iteration = iteration;
   entry.length = static_cast<uint32_t>(size);
+  entry.input = AcquireInput(loop_data, chain, std::move(input));
   entry.offset = offset;
 
   auto& entries = chain.entries;
@@ -44,6 +45,7 @@ void VersionedStore::PutBytesLocked(LoopId loop, VertexId vertex,
       // bookkeeping, so overwrites can never store a moved-from value.
       ReleaseEntry(loop_data, *it);
       it->length = entry.length;
+      it->input = entry.input;
       it->offset = entry.offset;
       MaybeCompact(loop_data);
       return;
@@ -64,12 +66,46 @@ const VersionedStore::Chain* VersionedStore::FindChain(LoopId loop,
 
 VersionView VersionedStore::ViewOf(const LoopData& data,
                                    const VersionEntry& entry) const {
-  return VersionView(data.arena.data() + entry.offset, entry.length);
+  return VersionView(data.arena.data() + entry.offset, entry.length,
+                     entry.input == 0 ? nullptr
+                                      : data.inputs[entry.input - 1].blob);
+}
+
+uint32_t VersionedStore::AcquireInput(LoopData& data, const Chain& chain,
+                                      InputBlob input) {
+  if (input == nullptr) return 0;
+  // A vertex's consecutive versions usually carry the same blob: share the
+  // slot of its newest version. Any other put takes a slot of its own
+  // (TotalBytes still counts a blob named by two slots once).
+  if (!chain.entries.empty()) {
+    const uint32_t newest = chain.entries.back().input;
+    if (newest != 0 && data.inputs[newest - 1].blob == input) {
+      ++data.inputs[newest - 1].refs;
+      return newest;
+    }
+  }
+  uint32_t index;
+  if (data.free_inputs.empty()) {
+    index = static_cast<uint32_t>(data.inputs.size());
+    data.inputs.emplace_back();
+  } else {
+    index = data.free_inputs.back();
+    data.free_inputs.pop_back();
+  }
+  data.inputs[index] = {std::move(input), 1};
+  return index + 1;
 }
 
 void VersionedStore::ReleaseEntry(LoopData& data, const VersionEntry& entry) {
   TCHECK_GE(data.live_bytes, entry.length);
   data.live_bytes -= entry.length;
+  if (entry.input == 0) return;
+  InputSlot& slot = data.inputs[entry.input - 1];
+  TCHECK_GT(slot.refs, 0u);
+  if (--slot.refs == 0) {
+    slot.blob.reset();
+    data.free_inputs.push_back(entry.input - 1);
+  }
 }
 
 void VersionedStore::MaybeCompact(LoopData& data) {
@@ -77,6 +113,7 @@ void VersionedStore::MaybeCompact(LoopData& data) {
   if (garbage < 4096 || garbage <= data.live_bytes) return;
   // Rewrite every live payload into a fresh arena. Chain iteration order
   // is untouched; only offsets move, which nothing observable depends on.
+  // Input blobs are not in the arena and stay where they are.
   std::vector<uint8_t> compacted;
   compacted.reserve(data.live_bytes);
   for (auto& [vertex, chain] : data.chains) {
@@ -278,7 +315,7 @@ size_t VersionedStore::ForkLoopLocked(LoopId src, Iteration iteration,
     snapshot.emplace_back(vertex, ViewOf(src_it->second, *std::prev(v)));
   }
   for (const auto& [vertex, view] : snapshot) {
-    PutBytesLocked(dst, vertex, 0, view.data(), view.size());
+    PutBytesLocked(dst, vertex, 0, view.data(), view.size(), view.input());
   }
   return snapshot.size();
 }
@@ -295,7 +332,8 @@ size_t VersionedStore::MergeLoopLocked(LoopId src, LoopId dst,
     latest.emplace_back(vertex, ViewOf(src_it->second, chain.entries.back()));
   }
   for (const auto& [vertex, view] : latest) {
-    PutBytesLocked(dst, vertex, dst_iteration, view.data(), view.size());
+    PutBytesLocked(dst, vertex, dst_iteration, view.data(), view.size(),
+                   view.input());
   }
   return latest.size();
 }
@@ -310,7 +348,18 @@ size_t VersionedStore::TotalVersionsLocked() const {
 
 size_t VersionedStore::TotalBytesLocked() const {
   size_t n = 0;
-  for (const auto& [loop, data] : loops_) n += data.live_bytes;
+  std::vector<const std::vector<uint8_t>*> blobs;
+  for (const auto& [loop, data] : loops_) {
+    n += data.live_bytes;
+    for (const InputSlot& slot : data.inputs) {
+      if (slot.blob != nullptr) blobs.push_back(slot.blob.get());
+    }
+  }
+  // Shared blobs count once. Sorting by address only groups duplicates;
+  // the sum does not depend on the order.
+  std::sort(blobs.begin(), blobs.end());
+  blobs.erase(std::unique(blobs.begin(), blobs.end()), blobs.end());
+  for (const std::vector<uint8_t>* blob : blobs) n += blob->size();
   return n;
 }
 

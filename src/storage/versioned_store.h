@@ -2,7 +2,9 @@
 #define TORNADO_STORAGE_VERSIONED_STORE_H_
 
 #include <cstdint>
+#include <memory>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/mutex.h"
@@ -11,21 +13,28 @@
 
 namespace tornado {
 
-/// Borrowed, non-owning view of one stored version's bytes. Returned by
-/// the store's read API instead of a pointer to an owned vector: versions
-/// live packed in a per-loop arena, so there is no per-version container
-/// to point at. A default-constructed view is "absent" (tests false);
-/// present views may legitimately be empty (zero-length value).
+/// The encoded input part of a vertex version (VertexState::SerializeInput):
+/// immutable once written, and shared by every version, fork and merge that
+/// carries the same input part. Null when the version has no input part.
+using InputBlob = std::shared_ptr<const std::vector<uint8_t>>;
+
+/// Borrowed, non-owning view of one stored version's iteration bytes, plus
+/// a shared handle on its input blob. Returned by the store's read API
+/// instead of a pointer to an owned vector: iteration bytes live packed in
+/// a per-loop arena, so there is no per-version container to point at. A
+/// default-constructed view is "absent" (tests false); present views may
+/// legitimately be empty (zero-length value).
 ///
-/// Lifetime: valid until the next mutation of the owning store (a Put may
-/// grow or compact the arena; Truncate/Prune/Drop compact or free it) —
-/// the same read-then-act-before-writing discipline callers already
-/// needed when erasing map nodes invalidated the old vector pointers.
+/// Lifetime: the bytes are valid until the next mutation of the owning
+/// store (a Put may grow or compact the arena; Truncate/Prune/Drop compact
+/// or free it) — the same read-then-act-before-writing discipline callers
+/// already needed when erasing map nodes invalidated the old vector
+/// pointers. The input blob handle shares ownership and outlives the store.
 class VersionView {
  public:
   VersionView() = default;
-  VersionView(const uint8_t* data, size_t size)
-      : data_(data), size_(size), present_(true) {}
+  VersionView(const uint8_t* data, size_t size, InputBlob input)
+      : data_(data), size_(size), present_(true), input_(std::move(input)) {}
 
   explicit operator bool() const { return present_; }
   const uint8_t* data() const { return data_; }
@@ -33,11 +42,13 @@ class VersionView {
   bool empty() const { return size_ == 0; }
   uint8_t operator[](size_t i) const { return data_[i]; }
   std::vector<uint8_t> ToVector() const { return {data_, data_ + size_}; }
+  const InputBlob& input() const { return input_; }
 
  private:
   const uint8_t* data_ = nullptr;
   size_t size_ = 0;
   bool present_ = false;
+  InputBlob input_;
 };
 
 /// Multi-versioned vertex-state store: the stand-in for the external
@@ -57,12 +68,18 @@ class VersionView {
 /// durable watermark.
 ///
 /// Layout: each chain is a flat iteration-sorted vector of
-/// (iteration, length, offset) entries whose bytes live in a per-loop
-/// append-only arena — one arena append and at most one 16-byte entry
-/// insert per Put, and snapshot reads are a binary search plus a pointer
-/// into the arena (no map nodes, no per-version vector allocations).
-/// Pruning and truncation leave garbage bytes behind; the arena compacts
-/// itself once garbage exceeds the live volume.
+/// (iteration, length, offset, input slot) entries whose iteration bytes
+/// live in a per-loop append-only arena — one arena append and at most one
+/// entry insert per Put, and snapshot reads are a binary search plus a
+/// pointer into the arena (no map nodes, no per-version vector
+/// allocations). Pruning and truncation leave garbage bytes behind; the
+/// arena compacts itself once garbage exceeds the live volume. Input
+/// blobs live outside the arena, in a per-loop table of reference-counted
+/// slots that entries name by index: puts, forks and merges that carry an
+/// existing blob copy a reference, not its bytes, and the blob is freed
+/// with the last version (or session) that refers to it. The index sits
+/// in the entry's padding, so versions without an input part cost what
+/// they did before input parts existed.
 ///
 /// Locking contract (docs/RUNTIME.md): every public method is a thin
 /// wrapper that takes the store Guard and calls a private *Locked impl
@@ -116,19 +133,22 @@ class VersionedStore {
     return Guard(thread_safe_ ? &mu_ : nullptr);
   }
 
-  /// Appends (or overwrites) the version of `vertex` at `iteration`.
+  /// Appends (or overwrites) the version of `vertex` at `iteration`:
+  /// `value` is its iteration part, `input` its input part (shared, not
+  /// copied).
   void Put(LoopId loop, VertexId vertex, Iteration iteration,
-           std::vector<uint8_t> value) {
+           std::vector<uint8_t> value, InputBlob input = nullptr) {
     const Guard guard = Lock();
-    PutBytesLocked(loop, vertex, iteration, value.data(), value.size());
+    PutBytesLocked(loop, vertex, iteration, value.data(), value.size(),
+                   std::move(input));
   }
 
   /// Same, from a borrowed byte range (no intermediate vector). `data` must
   /// not alias this store's own arenas unless the loops differ.
   void PutBytes(LoopId loop, VertexId vertex, Iteration iteration,
-                const uint8_t* data, size_t size) {
+                const uint8_t* data, size_t size, InputBlob input = nullptr) {
     const Guard guard = Lock();
-    PutBytesLocked(loop, vertex, iteration, data, size);
+    PutBytesLocked(loop, vertex, iteration, data, size, std::move(input));
   }
 
   /// Latest version with iteration <= `at`, or an absent view if none.
@@ -220,7 +240,8 @@ class VersionedStore {
   }
 
   /// Copies the snapshot of `src` at `iteration` into `dst` as its
-  /// iteration-0 baseline (branch-loop fork). Returns #vertices copied.
+  /// iteration-0 baseline (branch-loop fork); input blobs are shared.
+  /// Returns #vertices copied.
   size_t ForkLoop(LoopId src, Iteration iteration, LoopId dst) {
     const Guard guard = Lock();
     return ForkLoopLocked(src, iteration, dst);
@@ -228,7 +249,8 @@ class VersionedStore {
 
   /// Copies every vertex's latest version of `src` into `dst_iteration` of
   /// `dst` (merging converged branch results back into the main loop at
-  /// iteration τ+B, Section 5.2). Returns #vertices merged.
+  /// iteration τ+B, Section 5.2); input blobs are shared. Returns
+  /// #vertices merged.
   size_t MergeLoop(LoopId src, LoopId dst, Iteration dst_iteration) {
     const Guard guard = Lock();
     return MergeLoopLocked(src, dst, dst_iteration);
@@ -238,13 +260,16 @@ class VersionedStore {
     const Guard guard = Lock();
     return TotalVersionsLocked();
   }
+  /// Live iteration bytes of every loop plus the size of every input blob
+  /// some version refers to, each blob counted once.
   size_t TotalBytes() const {
     const Guard guard = Lock();
     return TotalBytesLocked();
   }
 
   /// Arena introspection for tests: physical arena bytes (live + garbage)
-  /// of `loop`, and how many compactions it has run.
+  /// of `loop`, and how many compactions it has run. Input blobs are not
+  /// in the arena.
   size_t ArenaBytes(LoopId loop) const {
     const Guard guard = Lock();
     return ArenaBytesLocked(loop);
@@ -255,15 +280,20 @@ class VersionedStore {
   }
 
  private:
-  // 16 bytes per version; chains stay iteration-sorted (commits arrive in
+  // 24 bytes per version; chains stay iteration-sorted (commits arrive in
   // increasing iteration order, so inserts are almost always push_backs).
   struct VersionEntry {
     Iteration iteration = 0;
     uint32_t length = 0;
+    uint32_t input = 0;   // 1 + index into LoopData::inputs; 0: no input
     uint64_t offset = 0;  // into LoopData::arena
   };
   struct Chain {
     std::vector<VersionEntry> entries;
+  };
+  struct InputSlot {
+    InputBlob blob;     // null while the slot is free
+    uint32_t refs = 0;  // entries of this loop naming the slot
   };
   struct LoopData {
     std::unordered_map<VertexId, Chain> chains;
@@ -272,6 +302,8 @@ class VersionedStore {
     uint64_t compactions = 0;
     Iteration durable = kNoIteration;
     size_t dirty = 0;
+    std::vector<InputSlot> inputs;
+    std::vector<uint32_t> free_inputs;  // indices of free slots
   };
 
   // The *Locked bodies (versioned_store.cc). Internal calls go through
@@ -279,7 +311,8 @@ class VersionedStore {
   // per-method locking relied on is no longer needed (or visible to the
   // analysis).
   void PutBytesLocked(LoopId loop, VertexId vertex, Iteration iteration,
-                      const uint8_t* data, size_t size) REQUIRES(mu_);
+                      const uint8_t* data, size_t size, InputBlob input)
+      REQUIRES(mu_);
   VersionView GetLocked(LoopId loop, VertexId vertex, Iteration at) const
       REQUIRES(mu_);
   Iteration GetVersionIterationLocked(LoopId loop, VertexId vertex,
@@ -310,6 +343,7 @@ class VersionedStore {
 
   const Chain* FindChain(LoopId loop, VertexId vertex) const REQUIRES(mu_);
   VersionView ViewOf(const LoopData& data, const VersionEntry& entry) const;
+  uint32_t AcquireInput(LoopData& data, const Chain& chain, InputBlob input);
   void ReleaseEntry(LoopData& data, const VersionEntry& entry);
   void MaybeCompact(LoopData& data);
 

@@ -7,6 +7,7 @@
 
 #include "baselines/graph_baselines.h"
 #include "baselines/ml_baselines.h"
+#include "baselines/solvers.h"
 #include "stream/graph_stream.h"
 #include "stream/instance_stream.h"
 #include "stream/point_stream.h"
@@ -197,6 +198,70 @@ TEST(SgdBaselineTest, SolvesToLowObjectiveAndWarmStartHelps) {
     ++total;
   }
   EXPECT_GT(static_cast<double>(correct) / total, 0.9);
+}
+
+std::vector<SgdInstance> SolverInstances(bool sparse) {
+  InstanceStreamOptions options;
+  options.num_tuples = 400;
+  options.dimensions = 12;
+  options.sparse = sparse;
+  options.sparsity_nnz = 5;
+  options.seed = 77;
+  InstanceStream stream(options);
+  std::vector<SgdInstance> out;
+  while (auto tuple = stream.Next()) {
+    const auto& inst = std::get<InstanceDelta>(tuple->delta);
+    out.push_back(SgdInstance{inst.id, inst.label, inst.features});
+  }
+  return out;
+}
+
+// SolveSgd backs the benchmark's SVM answer check. These are its exact
+// outputs, as hex floats, from the two-pass solver (one gradient pass and
+// one objective pass per iteration); the fused single-pass solver must
+// reproduce them bit for bit, on the convergence exit and on both
+// iteration-cap exits.
+struct PinnedSolve {
+  bool sparse;
+  SgdLoss loss;
+  double tolerance;
+  int max_iterations;
+  uint64_t iterations;
+  uint64_t gradient_terms;
+  double objective;
+  std::vector<double> weights;
+};
+
+TEST(SgdSolverTest, OutputsArePinnedBitForBit) {
+  const PinnedSolve pinned[] = {
+      {false, SgdLoss::kSvmHinge, 1e-4, 500, 428, 171200,
+       0x1.1c55e81efca39p-2,
+       {-0x1.a3013613c831ep-2, -0x1.223e85c6277a6p+0, -0x1.0f2bc9cd6bd26p-4,
+        0x1.bf2841698aecdp-2, -0x1.b34ba2d9c9facp-4, -0x1.d3522f729b087p-1,
+        -0x1.8ef58903c93bap-2, 0x1.717f25993e1edp-5, 0x1.17fee78503b2fp+0,
+        -0x1.e3467c5bf9bbep+0, -0x1.524fe96adcf51p-2, -0x1.8229333c42481p-3}},
+      {true, SgdLoss::kLogistic, 1e-4, 500, 500, 200000,
+       0x1.13b5c26588cf9p-2,
+       {-0x1.29e2fd4c4f176p-1, -0x1.510a1a9873994p+0, -0x1.c18095db8b551p-3,
+        0x1.eaa83a6ce318cp-2, -0x1.8603b46f6e398p-3, -0x1.dac8d0af29a27p-1,
+        -0x1.657082f90ea59p-1, -0x1.354b69f4fdd53p-2, 0x1.5a6e7f58806fdp+0,
+        -0x1.a0769b13d0526p-1, -0x1.85e8e999aad43p-4, 0x1.348a9e87e0ad2p-7}},
+      {false, SgdLoss::kLogistic, 1e-9, 9, 9, 3600, 0x1.c2f2acbf7f303p-2,
+       {-0x1.090bd87f28817p-3, -0x1.50b7f01b36bebp-2, 0x1.e8b21ab6105afp-6,
+        0x1.3f332ff13bcfbp-3, -0x1.a197e5a97dd5cp-6, -0x1.6bcae6a0a76e4p-2,
+        -0x1.655f6f9715eb8p-3, -0x1.03b042d3ae67ap-4, 0x1.8d14b3d5aa462p-2,
+        -0x1.7903d29963a4ep-1, -0x1.e467d1bd1026dp-4, -0x1.b89b201b72cb6p-4}},
+  };
+  for (const PinnedSolve& want : pinned) {
+    const SgdSolution got = SolveSgd(
+        SolverInstances(want.sparse), want.loss, /*regularization=*/1e-3,
+        /*rate=*/0.5, std::vector<double>(12, 0.01), want.tolerance,
+        want.max_iterations);
+    EXPECT_EQ(got.iterations, want.iterations);
+    EXPECT_EQ(got.gradient_terms, want.gradient_terms);
+    EXPECT_EQ(got.objective, want.objective);
+    EXPECT_EQ(got.weights, want.weights);
+  }
 }
 
 }  // namespace

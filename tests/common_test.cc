@@ -297,6 +297,48 @@ TEST(SerdeTest, VectorsRoundTrip) {
   EXPECT_EQ(uv, (std::vector<uint64_t>{0, 42, ~0ULL}));
 }
 
+// The encodings are a storage and wire format: pin them byte for byte
+// (LEB128 varints, little-endian IEEE doubles, length-prefixed vectors).
+TEST(SerdeTest, EncodingsArePinnedByteForByte) {
+  BufferWriter w;
+  for (uint64_t v : {0ULL, 1ULL, 127ULL, 128ULL, 300ULL, 16384ULL, ~0ULL}) {
+    w.PutVarint(v);
+  }
+  w.PutDoubleVec({1.0, -2.5});
+  w.PutDoubleVec({});
+  w.PutU64Vec({5, 1000});
+  w.PutString("ok");
+  const std::vector<uint8_t> want = {
+      0x00, 0x01, 0x7F, 0x80, 0x01, 0xAC, 0x02, 0x80, 0x80, 0x01,  //
+      0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01,  //
+      0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xF0, 0x3F,        //
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x04, 0xC0,              //
+      0x00,                                                        //
+      0x02, 0x05, 0xE8, 0x07,                                      //
+      0x02, 'o', 'k'};
+  EXPECT_EQ(w.data(), want);
+
+  BufferReader r(want);
+  for (uint64_t v : {0ULL, 1ULL, 127ULL, 128ULL, 300ULL, 16384ULL, ~0ULL}) {
+    uint64_t got = 0;
+    ASSERT_TRUE(r.GetVarint(&got).ok());
+    EXPECT_EQ(got, v);
+  }
+  std::vector<double> dv = {9.0};
+  ASSERT_TRUE(r.GetDoubleVec(&dv).ok());
+  EXPECT_EQ(dv, (std::vector<double>{1.0, -2.5}));
+  ASSERT_TRUE(r.GetDoubleVec(&dv).ok());
+  EXPECT_TRUE(dv.empty());
+}
+
+TEST(SerdeTest, TruncatedDoubleVectorIsReported) {
+  BufferWriter w;
+  w.PutDoubleVec({1.0, 2.0});
+  BufferReader r(w.data().data(), w.size() - 1);
+  std::vector<double> dv;
+  EXPECT_FALSE(r.GetDoubleVec(&dv).ok());
+}
+
 TEST(SerdeTest, TruncationIsReported) {
   BufferWriter w;
   w.PutU64(5);

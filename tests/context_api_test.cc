@@ -1,7 +1,7 @@
 // Guard-rail tests: the engine must reject programs that misuse the
 // vertex context (emissions outside Scatter, graph mutations outside
-// input gathering, self-dependencies), failing fast instead of corrupting
-// protocol state.
+// input gathering, self-dependencies, input-part changes outside OnInput),
+// failing fast instead of corrupting protocol state.
 
 #include <gtest/gtest.h>
 
@@ -15,8 +15,18 @@
 namespace tornado {
 namespace {
 
+/// Iteration part: one dummy byte. Input part: how many inputs the vertex
+/// gathered, which only OnInput may change.
 struct NullState : VertexState {
+  uint64_t inputs = 0;
+
   void Serialize(BufferWriter* writer) const override { writer->PutU8(0); }
+  void SerializeInput(BufferWriter* writer) const override {
+    writer->PutVarint(inputs);
+  }
+  void DeserializeInput(BufferReader* reader) override {
+    (void)reader->GetVarint(&inputs);
+  }
 };
 
 /// A configurable misbehaving program.
@@ -28,6 +38,7 @@ class EvilProgram : public VertexProgram {
     kAddTargetInUpdate,
     kSelfTarget,
     kEmitNoopKind,
+    kChangeInputPartInScatter,
   };
 
   explicit EvilProgram(Evil evil) : evil_(evil) {}
@@ -52,6 +63,7 @@ class EvilProgram : public VertexProgram {
     if (evil_ == Evil::kEmitInGather) {
       ctx.EmitToTargets(VertexUpdate{});  // must die: not in Scatter
     }
+    static_cast<NullState*>(ctx.state())->inputs++;
     return true;
   }
 
@@ -68,6 +80,11 @@ class EvilProgram : public VertexProgram {
     if (evil_ == Evil::kEmitNoopKind) {
       update.kind = kNoopUpdateKind;  // must die: reserved kind
     }
+    if (evil_ == Evil::kChangeInputPartInScatter) {
+      // Must die (TORNADO_CHECK builds) at the first commit that follows
+      // no input: the input part changed without an input.
+      static_cast<NullState*>(ctx.state())->inputs++;
+    }
     ctx.EmitToTargets(update);
   }
 
@@ -83,9 +100,14 @@ void RunScenario(EvilProgram::Evil evil) {
   config.num_hosts = 1;
   std::vector<Delta> deltas = {EdgeDelta{1, 2, 1.0, true},
                                EdgeDelta{2, 3, 1.0, true}};
+  if (evil == EvilProgram::Evil::kChangeInputPartInScatter) {
+    // Close a cycle, so vertices keep committing long after their inputs.
+    deltas.push_back(EdgeDelta{3, 1, 1.0, true});
+  }
+  const size_t tuples = deltas.size();
   TornadoCluster cluster(config, std::make_unique<VectorStream>(deltas));
   cluster.Start();
-  cluster.RunUntilEmitted(2, 60.0);
+  cluster.RunUntilEmitted(tuples, 60.0);
   cluster.RunFor(1.0);
 }
 
@@ -109,6 +131,16 @@ TEST(ContextApiDeathTest, SelfTargetDies) {
 TEST(ContextApiDeathTest, ReservedNoopKindDies) {
   EXPECT_DEATH(RunScenario(EvilProgram::Evil::kEmitNoopKind),
                "reserved no-op kind");
+}
+
+TEST(ContextApiDeathTest, InputPartChangedOutsideOnInputDies) {
+#ifdef TORNADO_CHECK
+  EXPECT_DEATH(RunScenario(EvilProgram::Evil::kChangeInputPartInScatter),
+               "changed its input part outside OnInput");
+#else
+  GTEST_SKIP() << "the input-part check is compiled into TORNADO_CHECK "
+                  "builds only";
+#endif
 }
 
 TEST(ContextApiTest, WellBehavedProgramRuns) {

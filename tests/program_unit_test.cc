@@ -79,6 +79,9 @@ class FakeContext : public VertexContext {
   Rng rng_;
 };
 
+/// Round-trips both state parts, the way the engine stores and restores
+/// a version: the iteration part through DeserializeState, then the input
+/// part through DeserializeInput.
 template <typename ProgramT>
 std::unique_ptr<VertexState> RoundTrip(const ProgramT& program,
                                        const VertexState& state) {
@@ -87,7 +90,24 @@ std::unique_ptr<VertexState> RoundTrip(const ProgramT& program,
   BufferReader reader(writer.data());
   auto restored = program.DeserializeState(&reader);
   EXPECT_TRUE(reader.AtEnd()) << "trailing bytes after deserialization";
+  BufferWriter input_writer;
+  state.SerializeInput(&input_writer);
+  BufferReader input(input_writer.data());
+  restored->DeserializeInput(&input);
+  EXPECT_TRUE(input.AtEnd()) << "trailing bytes after the input part";
   return restored;
+}
+
+std::vector<uint8_t> IterationPart(const VertexState& state) {
+  BufferWriter writer;
+  state.Serialize(&writer);
+  return writer.Release();
+}
+
+std::vector<uint8_t> InputPart(const VertexState& state) {
+  BufferWriter writer;
+  state.SerializeInput(&writer);
+  return writer.Release();
 }
 
 // ---------------------------------------------------------------------------
@@ -459,6 +479,40 @@ TEST(KMeansUnitTest, BothStateFlavoursSerialize) {
   EXPECT_EQ(restored_shard->points.at(3), (std::vector<double>{1.0, 2.0}));
 }
 
+TEST(KMeansUnitTest, ShardPointsAreTheInputPart) {
+  KMeansProgram program(SmallKMeans());
+  auto state = program.CreateState(KMeansShardVertex(0));
+  FakeContext ctx(KMeansShardVertex(0), kMainLoop, state.get());
+  VertexUpdate c0;
+  c0.kind = 0;
+  c0.values = {0.0, 0.0};
+  program.OnUpdate(ctx, KMeansCentroidVertex(0), 0, c0);
+  program.OnInput(ctx, PointDelta{1, {1.0, 1.0}, true});
+  program.OnInput(ctx, PointDelta{2, {3.0, 1.0}, true});
+  const std::vector<uint8_t> input = InputPart(*state);
+
+  // Scatter (an iteration) rewrites assignments and sums only: the input
+  // part is unchanged, the iteration part carries no point coordinates.
+  program.Scatter(ctx);
+  EXPECT_EQ(InputPart(*state), input);
+  EXPECT_TRUE(InputPart(*program.CreateState(KMeansCentroidVertex(0)))
+                  .empty());
+
+  // Iteration part alone: assignments but no points.
+  const std::vector<uint8_t> iteration = IterationPart(*state);
+  BufferReader reader(iteration);
+  auto restored = program.DeserializeState(&reader);
+  auto& shard = static_cast<KMeansShardState&>(*restored);
+  EXPECT_TRUE(shard.points.empty());
+  EXPECT_EQ(shard.assignment.size(), 2u);
+  // Adding the input part completes the state.
+  BufferReader input_reader(input);
+  shard.DeserializeInput(&input_reader);
+  EXPECT_TRUE(input_reader.AtEnd());
+  EXPECT_EQ(shard.points.at(2), (std::vector<double>{3.0, 1.0}));
+  EXPECT_EQ(IterationPart(shard), IterationPart(*state));
+}
+
 // ---------------------------------------------------------------------------
 // SGD
 // ---------------------------------------------------------------------------
@@ -576,6 +630,45 @@ TEST(SgdUnitTest, ShardStateSerializationRoundTrips) {
   EXPECT_EQ(got.sample[0].features, shard.sample[0].features);
   EXPECT_EQ(got.seen, 42u);
   EXPECT_TRUE(got.has_weights);
+}
+
+TEST(SgdUnitTest, ShardReservoirIsTheInputPart) {
+  SgdProgram program(SmallSgd());
+  auto state = program.CreateState(SgdShardVertex(0));
+  FakeContext ctx(SgdShardVertex(0), kMainLoop, state.get());
+  for (uint64_t i = 0; i < 3; ++i) {
+    InstanceDelta inst;
+    inst.id = i;
+    inst.label = i % 2 == 0 ? 1.0 : -1.0;
+    inst.features = {{0, 1.0 + static_cast<double>(i)}, {2, 0.5}};
+    program.OnInput(ctx, inst);
+  }
+  const std::vector<uint8_t> input = InputPart(*state);
+
+  // A model broadcast and a gradient scatter change only the iteration
+  // part.
+  VertexUpdate model;
+  model.kind = 0;
+  model.values = {0.1, 0.2, 0.3};
+  program.OnUpdate(ctx, kSgdParamVertex, 0, model);
+  program.Scatter(ctx);
+  EXPECT_EQ(InputPart(*state), input);
+  EXPECT_TRUE(InputPart(*program.CreateState(kSgdParamVertex)).empty());
+
+  const std::vector<uint8_t> iteration = IterationPart(*state);
+  BufferReader reader(iteration);
+  auto restored = program.DeserializeState(&reader);
+  auto& shard = static_cast<SgdShardState&>(*restored);
+  EXPECT_TRUE(shard.sample.empty());
+  EXPECT_EQ(shard.weights, model.values);
+  BufferReader input_reader(input);
+  shard.DeserializeInput(&input_reader);
+  EXPECT_TRUE(input_reader.AtEnd());
+  ASSERT_EQ(shard.sample.size(), 3u);
+  EXPECT_EQ(shard.sample[1].features,
+            (std::vector<std::pair<uint32_t, double>>{{0, 2.0}, {2, 0.5}}));
+  EXPECT_EQ(shard.seen, 3u);
+  EXPECT_EQ(InputPart(shard), input);
 }
 
 // ---------------------------------------------------------------------------

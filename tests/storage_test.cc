@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <memory>
 #include <string>
 
 #include "storage/checkpoint_log.h"
+#include "storage/durable_store.h"
 #include "storage/versioned_store.h"
 #include "tests/test_util.h"
 
@@ -13,6 +15,10 @@ namespace tornado {
 namespace {
 
 std::vector<uint8_t> Bytes(std::initializer_list<uint8_t> v) { return v; }
+
+InputBlob Blob(size_t size, uint8_t fill) {
+  return std::make_shared<const std::vector<uint8_t>>(size, fill);
+}
 
 TEST(VersionedStoreTest, SnapshotReadsLatestAtOrBelow) {
   VersionedStore store;
@@ -147,6 +153,75 @@ TEST(VersionedStoreTest, OverwriteStoresTheNewBytes) {
   EXPECT_EQ(store.TotalBytes(), 3u);  // the old 4 bytes are garbage now
 }
 
+// ---------------------------------------------------------------------------
+// Input blobs (the loop-invariant input part of a vertex state)
+// ---------------------------------------------------------------------------
+
+TEST(VersionedStoreTest, ForkAndMergeShareOneInputBlob) {
+  VersionedStore store;
+  const InputBlob blob = Blob(1000, 7);
+  store.Put(0, 1, 2, Bytes({1, 2}), blob);
+  store.Put(0, 1, 3, Bytes({3, 4}), blob);  // a commit that gathered no input
+  ASSERT_EQ(store.ForkLoop(0, 3, 5), 1u);
+  store.Put(5, 1, 1, Bytes({5, 6}), store.Get(5, 1, 0).input());
+  ASSERT_EQ(store.MergeLoop(5, 0, 9), 1u);
+
+  for (const auto& [loop, at] : {std::pair<LoopId, Iteration>{0, 2},
+                                 {0, 3}, {5, 0}, {5, 1}, {0, 9}}) {
+    EXPECT_EQ(store.Get(loop, 1, at).input(), blob)
+        << "loop " << loop << " at " << at;
+  }
+  EXPECT_EQ(store.Get(0, 1, 9).ToVector(), Bytes({5, 6}));
+  // Five versions of 2 iteration bytes each, plus the blob once; the
+  // arenas hold iteration bytes only.
+  EXPECT_EQ(store.TotalVersions(), 5u);
+  EXPECT_EQ(store.TotalBytes(), 5u * 2u + 1000u);
+  EXPECT_EQ(store.ArenaBytes(0) + store.ArenaBytes(5), 5u * 2u);
+}
+
+TEST(VersionedStoreTest, DroppingTheLastReferenceFreesTheBlob) {
+  VersionedStore store;
+  std::weak_ptr<const std::vector<uint8_t>> watch;
+  {
+    const InputBlob blob = Blob(64, 1);
+    watch = blob;
+    store.Put(0, 1, 1, Bytes({1}), blob);
+    store.Put(0, 1, 2, Bytes({2}), blob);
+  }
+  store.ForkLoop(0, 2, 3);
+  store.Put(0, 1, 4, Bytes({4}), Blob(64, 2));  // a newer input part
+
+  store.PruneBelow(0, 4);  // the main loop lets go of both old versions
+  EXPECT_FALSE(watch.expired()) << "the branch still refers to it";
+  EXPECT_EQ(store.TotalBytes(), 2u + 128u);
+  store.DropLoop(3);
+  EXPECT_TRUE(watch.expired());
+  EXPECT_EQ(store.TotalBytes(), 1u + 64u);
+}
+
+TEST(VersionedStoreTest, TruncateRecoverAndOverwriteReleaseBlobs) {
+  VersionedStore store;
+  std::weak_ptr<const std::vector<uint8_t>> truncated, recovered, overwritten;
+  {
+    const InputBlob a = Blob(8, 1), b = Blob(8, 2), c = Blob(8, 3);
+    truncated = a;
+    recovered = b;
+    overwritten = c;
+    store.Put(0, 1, 1, Bytes({1}), c);
+    store.Put(0, 1, 1, Bytes({1}), nullptr);  // overwrite, no input part
+    store.Flush(0, 1);
+    store.Put(0, 1, 2, Bytes({2}), b);
+    store.Put(0, 2, 5, Bytes({5}), a);
+  }
+  EXPECT_TRUE(overwritten.expired());
+  EXPECT_FALSE(store.Get(0, 1, 1).input());
+  store.TruncateAfter(0, 4);
+  EXPECT_TRUE(truncated.expired());
+  store.RecoverToDurable(0);
+  EXPECT_TRUE(recovered.expired());
+  EXPECT_EQ(store.TotalBytes(), 1u);
+}
+
 TEST(VersionedStoreTest, PruneBelowBetweenVersionsKeepsNewestAtOrBelow) {
   // The fork point (iteration 7) falls between versions 5 and 9: exactly
   // the newest version <= 7 must survive as the snapshot base.
@@ -253,6 +328,49 @@ TEST_F(CheckpointLogTest, AppendAndReplay) {
   EXPECT_EQ(store.Get(0, 1, 2)[0], 9);
   EXPECT_EQ(store.GetLatest(0, 1)[0], 5);
   EXPECT_EQ(store.GetLatest(1, 7)[0], 7);
+}
+
+TEST_F(CheckpointLogTest, ReplaysBothStateParts) {
+  const std::vector<uint8_t> input(300, 4);
+  {
+    CheckpointLog log;
+    ASSERT_TRUE(log.Open(path_).ok());
+    ASSERT_TRUE(log.Append(0, 1, 2, Bytes({9}).data(), 1, &input).ok());
+    ASSERT_TRUE(log.Append(0, 2, 2, Bytes({8})).ok());
+    ASSERT_TRUE(log.Close().ok());
+  }
+  VersionedStore store;
+  CheckpointLog reader;
+  auto applied = reader.Replay(path_, &store);
+  ASSERT_TRUE(applied.ok());
+  EXPECT_EQ(*applied, 2u);
+  const VersionView with_input = store.GetLatest(0, 1);
+  EXPECT_EQ(with_input.ToVector(), Bytes({9}));
+  ASSERT_NE(with_input.input(), nullptr);
+  EXPECT_EQ(*with_input.input(), input);
+  EXPECT_EQ(store.GetLatest(0, 2).input(), nullptr);
+}
+
+TEST_F(CheckpointLogTest, DurableStoreFlushesAndReopensBothParts) {
+  const InputBlob input = Blob(40, 6);
+  {
+    DurableStore durable;
+    ASSERT_TRUE(durable.Open(path_).ok());
+    durable.Put(0, 1, 1, Bytes({1}), input);
+    durable.Put(0, 1, 2, Bytes({2}), input);
+    ASSERT_TRUE(durable.Flush(0, 2).ok());
+    ASSERT_TRUE(durable.Close().ok());
+  }
+  DurableStore reopened;
+  ASSERT_TRUE(reopened.Open(path_).ok());
+  for (Iteration at : {1u, 2u}) {
+    const VersionView got = reopened.store().Get(0, 1, at);
+    ASSERT_TRUE(got);
+    EXPECT_EQ(got[0], at);
+    ASSERT_NE(got.input(), nullptr);
+    EXPECT_EQ(*got.input(), *input);
+  }
+  ASSERT_TRUE(reopened.Close().ok());
 }
 
 TEST_F(CheckpointLogTest, TornTailIsIgnored) {
