@@ -18,19 +18,15 @@
 //                      (smoke size, host core count): cross-knob numbers
 //                      measure nothing.
 //   --no-json          skip writing the JSON (just print the table)
-//   --backend=sim|par_sim|thread|both
+//   --backend=sim|thread|both
 //                      which runtime substrate(s) drive the fig5 e2e run
 //                      (default sim; thread measures real OS threads;
-//                      par_sim sweeps a shard-count scaling curve;
-//                      both runs all three)
-//   --shards=N         top of the par_sim scaling curve (default 4): the
-//                      e2e run is measured at shard counts 1, 2, 4, ... N
+//                      both runs the two)
 
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -164,13 +160,11 @@ NetBurstResult BenchNetBurst(uint64_t messages) {
 // On the sim backend this measures the simulator's constant factors; on
 // the thread backend it is a true wall-clock run (ingestion happens in
 // real time, so the rate knob sets a hard floor on the duration).
-double BenchPagerankE2E(uint64_t tuples, SubstrateBackend backend,
-                        uint32_t shards = 4) {
+double BenchPagerankE2E(uint64_t tuples, SubstrateBackend backend) {
   JobConfig config = PageRankJob(/*delay_bound=*/64);
   config.program = std::make_shared<PageRankProgram>(0.85, 3e-3);
   config.cost.progress_period = 2e-3;
   config.backend = backend;
-  config.sim_shards = shards;
   StreamFactory stream = [tuples]() {
     return std::make_unique<GraphStream>(BenchGraph(tuples, /*seed=*/5));
   };
@@ -299,8 +293,6 @@ int Main(int argc, char** argv) {
   bool write_json = true;
   bool run_sim = true;     // which backend(s) drive the fig5 e2e run
   bool run_thread = false;
-  bool run_par = false;
-  uint32_t max_shards = 4;  // top of the par_sim scaling curve
   std::string out_path = "BENCH_simcore.json";
   std::string check_path;
   for (int i = 1; i < argc; ++i) {
@@ -309,21 +301,10 @@ int Main(int argc, char** argv) {
     if (arg == "--no-json") write_json = false;
     if (arg == "--out" && i + 1 < argc) out_path = argv[++i];
     if (arg == "--check" && i + 1 < argc) check_path = argv[++i];
-    if (arg == "--backend=sim") { run_sim = true; run_thread = false; run_par = false; }
-    if (arg == "--backend=thread") { run_sim = false; run_thread = true; run_par = false; }
-    if (arg == "--backend=par_sim") { run_sim = false; run_thread = false; run_par = true; }
-    if (arg == "--backend=both") { run_sim = true; run_thread = true; run_par = true; }
-    if (arg.rfind("--shards=", 0) == 0) {
-      max_shards = static_cast<uint32_t>(
-          std::strtoul(arg.c_str() + std::strlen("--shards="), nullptr, 10));
-      if (max_shards == 0) max_shards = 1;
-    }
+    if (arg == "--backend=sim") { run_sim = true; run_thread = false; }
+    if (arg == "--backend=thread") { run_sim = false; run_thread = true; }
+    if (arg == "--backend=both") { run_sim = true; run_thread = true; }
   }
-
-  // par_sim scaling curve: powers of two up to and including max_shards.
-  std::vector<uint32_t> shard_curve;
-  for (uint32_t s = 1; s < max_shards; s <<= 1) shard_curve.push_back(s);
-  shard_curve.push_back(max_shards);
 
   PrintHeader("Simulation-substrate wall-clock throughput", "BENCH_simcore");
 
@@ -346,13 +327,6 @@ int Main(int argc, char** argv) {
       run_sim ? BenchPagerankE2E(kTuples, SubstrateBackend::kSim) : 0.0;
   const double pagerank_wall_thread =
       run_thread ? BenchPagerankE2E(kTuples, SubstrateBackend::kThread) : 0.0;
-  std::vector<double> pagerank_wall_par;  // one entry per shard_curve point
-  if (run_par) {
-    for (const uint32_t shards : shard_curve) {
-      pagerank_wall_par.push_back(
-          BenchPagerankE2E(kTuples, SubstrateBackend::kParSim, shards));
-    }
-  }
   const std::vector<std::string> kKernelAlgos = {"pagerank", "sssp", "kmeans",
                                                  "sgd"};
   std::vector<KernelBenchResult> kernels;
@@ -375,11 +349,6 @@ int Main(int argc, char** argv) {
   if (run_thread) {
     table.AddRow({"fig5 pagerank e2e (thread)", "wall seconds",
                   Table::Num(pagerank_wall_thread, 2)});
-  }
-  for (size_t i = 0; i < pagerank_wall_par.size(); ++i) {
-    table.AddRow({"fig5 pagerank e2e (par_sim, " +
-                      std::to_string(shard_curve[i]) + " shards)",
-                  "wall seconds", Table::Num(pagerank_wall_par[i], 2)});
   }
   const std::string variant =
       kernel::KernelVariantName(kernel::ActiveKernelVariant());
@@ -423,18 +392,6 @@ int Main(int argc, char** argv) {
     }
     if (run_thread) {
       json.AddResult("pagerank_e2e_wall_seconds_thread", pagerank_wall_thread);
-    }
-    if (run_par) {
-      // Scaling curve of the parallel sim. Interpretation requires the
-      // host_cores knob (always written, above): windows run concurrently
-      // only when real cores back the shard workers, so on a single-core
-      // host the curve is flat-to-worse (barrier overhead, no parallelism)
-      // by construction.
-      for (size_t i = 0; i < pagerank_wall_par.size(); ++i) {
-        json.AddResult("pagerank_e2e_wall_seconds_par_sim_shards_" +
-                           std::to_string(shard_curve[i]),
-                       pagerank_wall_par[i]);
-      }
     }
     for (size_t i = 0; i < kKernelAlgos.size(); ++i) {
       json.AddResult("kernel_scatter_ops_per_sec_" + kKernelAlgos[i],

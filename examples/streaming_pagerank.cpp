@@ -7,17 +7,14 @@
 // approximation for free.
 //
 // Build & run:
-//   ./build/examples/streaming_pagerank [--backend=sim|par_sim|thread] [--shards=N]
+//   ./build/examples/streaming_pagerank [--backend=sim|thread]
 //
-// The default runs on the deterministic simulation; --backend=par_sim runs
-// the same job on the sharded parallel simulation (docs/PARSIM.md) and
-// prints byte-identical output; --backend=thread runs it on real OS
-// threads (docs/RUNTIME.md) and converges to the same fixed point, though
-// latencies become wall-clock measurements.
+// The default runs on the deterministic simulation; --backend=thread runs
+// it on real OS threads (docs/RUNTIME.md) and converges to the same fixed
+// point, though latencies become wall-clock measurements.
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <vector>
@@ -33,20 +30,13 @@ int main(int argc, char** argv) {
   SetLogLevel(LogLevel::kWarning);
 
   SubstrateBackend backend = SubstrateBackend::kSim;
-  uint32_t shards = 4;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--backend=thread") == 0) {
       backend = SubstrateBackend::kThread;
-    } else if (std::strcmp(argv[i], "--backend=par_sim") == 0) {
-      backend = SubstrateBackend::kParSim;
     } else if (std::strcmp(argv[i], "--backend=sim") == 0) {
       backend = SubstrateBackend::kSim;
-    } else if (std::strncmp(argv[i], "--shards=", 9) == 0) {
-      shards = static_cast<uint32_t>(std::strtoul(argv[i] + 9, nullptr, 10));
     } else {
-      std::fprintf(stderr,
-                   "usage: %s [--backend=sim|par_sim|thread] [--shards=N]\n",
-                   argv[0]);
+      std::fprintf(stderr, "usage: %s [--backend=sim|thread]\n", argv[0]);
       return 2;
     }
   }
@@ -66,7 +56,6 @@ int main(int argc, char** argv) {
   config.ingest_rate = 8000.0;
   config.merge_branches = true;  // fold converged results back into main
   config.backend = backend;
-  config.sim_shards = shards;
 
   TornadoCluster cluster(config,
                          std::make_unique<GraphStream>(stream_options));

@@ -5,7 +5,6 @@
 
 #include "common/logging.h"
 #include "common/serde.h"
-#include "runtime/par_sim_substrate.h"
 #include "runtime/sim_substrate.h"
 #include "runtime/thread_substrate.h"
 #include "trace/time_series.h"
@@ -26,12 +25,6 @@ TornadoCluster::TornadoCluster(JobConfig config,
     substrate_ = std::make_unique<ThreadSubstrate>(config_.seed);
     // Node service threads and the driver touch the shared store
     // concurrently; flip it into locked mode before any traffic.
-    store_.SetThreadSafe(true);
-  } else if (config_.backend == SubstrateBackend::kParSim) {
-    substrate_ = std::make_unique<ParSimSubstrate>(
-        config_.cost, config_.seed, std::max(1u, config_.sim_shards));
-    // Nodes on different shards commit to the shared store concurrently
-    // within a window; same locked mode as the thread backend.
     store_.SetThreadSafe(true);
   } else {
     substrate_ = std::make_unique<SimSubstrate>(config_.cost, config_.seed);
@@ -104,20 +97,13 @@ TraceRecorder* TornadoCluster::EnableTracing(size_t max_events) {
   }
   if (config_.backend == SubstrateBackend::kThread) {
     // Probes read live session tables without locks; tracing stays a
-    // deterministic-backend (sim / par_sim) facility.
+    // sim-backend facility.
     TLOG_WARN << "tracing is unsupported on the " << substrate_->name()
               << " substrate; EnableTracing ignored";
     return nullptr;
   }
-  // par_sim: one lane per shard plus the driver lane, so handler-side
-  // records never contend and the written trace merges deterministically
-  // (trace/trace_recorder.h). The serial backend is the one-lane case,
-  // which keeps its original single-buffer fast path.
-  const uint32_t lanes = config_.backend == SubstrateBackend::kParSim
-                             ? std::max(1u, config_.sim_shards) + 1
-                             : 1;
   trace_recorder_ = std::make_unique<TraceRecorder>(
-      substrate_->clock(), lanes,
+      substrate_->clock(),
       max_events == 0 ? TraceRecorder::kDefaultMaxEvents : max_events);
 
   // Track layout mirrors the node ids; one extra pseudo-track carries the

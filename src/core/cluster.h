@@ -120,12 +120,9 @@ class TornadoCluster {
   /// -DTORNADO_TRACE=ON auto-attach starts paused). Call before Start()
   /// to capture the whole run. Returns the recorder.
   ///
-  /// `max_events` caps each recorder lane (0 = the recorder's default);
-  /// pass a larger value when the run must not drop any event —
-  /// byte-identity comparisons overflow asymmetrically (serial has one
-  /// lane, par_sim has shards + 1), so a capped run records different
-  /// suffixes (docs/PARSIM.md non-goals). Only the first call sizes the
-  /// recorder; later calls just resume it.
+  /// `max_events` caps the recorder (0 = the recorder's default); pass a
+  /// larger value when the run must not drop any event. Only the first
+  /// call sizes the recorder; later calls just resume it.
   TraceRecorder* EnableTracing(size_t max_events = 0);
 
   /// The attached trace recorder (nullptr until EnableTracing, unless

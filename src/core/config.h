@@ -64,11 +64,6 @@ enum class SubstrateBackend {
   /// Discrete-event simulation: virtual clock, deterministic, the
   /// correctness oracle. Failure injection supported.
   kSim,
-  /// Parallel discrete-event simulation (docs/PARSIM.md): the cluster is
-  /// sharded by host across worker threads synchronized by conservative
-  /// time windows. Deterministic — same-seed traces are byte-identical
-  /// to kSim at any shard count. Failure injection supported.
-  kParSim,
   /// Real threads: one service thread per node, steady-clock time,
   /// honest wall-clock numbers. No failure injection or tracing.
   kThread,
@@ -123,13 +118,10 @@ struct JobConfig {
   /// Seed for all engine-internal randomness.
   uint64_t seed = 1;
 
-  /// Runtime substrate the cluster is assembled on. The sim backends
-  /// (serial and parallel) are deterministic; `cost` is ignored by the
-  /// thread backend (real CPUs are not modeled).
+  /// Runtime substrate the cluster is assembled on. The sim backend is
+  /// deterministic; `cost` is ignored by the thread backend (real CPUs
+  /// are not modeled).
   SubstrateBackend backend = SubstrateBackend::kSim;
-
-  /// Shard (worker) count of the kParSim backend; ignored elsewhere.
-  uint32_t sim_shards = 4;
 };
 
 }  // namespace tornado

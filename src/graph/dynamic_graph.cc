@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <queue>
 
 namespace tornado {
 
@@ -43,29 +42,6 @@ std::vector<VertexId> DynamicGraph::Vertices() const {
   for (const auto& [v, edges] : adjacency_) out.push_back(v);
   std::sort(out.begin(), out.end());  // deterministic listing for callers
   return out;
-}
-
-std::unordered_map<VertexId, double> DynamicGraph::ShortestPaths(
-    VertexId source) const {
-  std::unordered_map<VertexId, double> dist;
-  using Item = std::pair<double, VertexId>;
-  std::priority_queue<Item, std::vector<Item>, std::greater<Item>> heap;
-  dist[source] = 0.0;
-  heap.emplace(0.0, source);
-  while (!heap.empty()) {
-    auto [d, v] = heap.top();
-    heap.pop();
-    auto it = dist.find(v);
-    if (it != dist.end() && d > it->second) continue;
-    for (const Edge& e : OutEdges(v)) {
-      const double nd = d + e.weight;
-      auto [dit, inserted] = dist.emplace(e.dst, nd);
-      if (!inserted && nd >= dit->second) continue;
-      dit->second = nd;
-      heap.emplace(nd, e.dst);
-    }
-  }
-  return dist;
 }
 
 std::unordered_map<VertexId, double> DynamicGraph::PageRank(

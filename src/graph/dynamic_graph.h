@@ -36,10 +36,6 @@ class DynamicGraph {
   size_t NumVertices() const { return adjacency_.size(); }
   size_t NumEdges() const { return num_edges_; }
 
-  /// Reference single-source shortest paths (Dijkstra over current edges).
-  /// Unreachable vertices are absent from the result.
-  std::unordered_map<VertexId, double> ShortestPaths(VertexId source) const;
-
   /// Reference PageRank by synchronous power iteration to `epsilon` (L1).
   std::unordered_map<VertexId, double> PageRank(double damping,
                                                 double epsilon,

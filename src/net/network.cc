@@ -7,56 +7,30 @@
 
 namespace tornado {
 
-Network::Network(EventLoop* loop, CostModel cost, uint64_t seed,
-                 uint32_t shard, uint32_t num_shards,
-                 MetricRegistry* shared_metrics)
-    : loop_(loop),
-      cost_(cost),
-      seed_(seed),
-      shard_(shard),
-      num_shards_(num_shards) {
-  TCHECK_LT(shard_, num_shards_ == 0 ? 1 : num_shards_);
-  if (shared_metrics != nullptr) {
-    metrics_ = shared_metrics;
-  } else {
-    owned_metrics_ = std::make_unique<MetricRegistry>();
-    metrics_ = owned_metrics_.get();
-  }
-  c_sent_ = &metrics_->CounterHandle(metric::kMessagesSent);
-  c_delivered_ = &metrics_->CounterHandle(metric::kMessagesDelivered);
-  c_retransmitted_ = &metrics_->CounterHandle(metric::kMessagesRetransmitted);
-  c_deduped_ = &metrics_->CounterHandle(metric::kMessagesDeduped);
-  c_transport_acks_ = &metrics_->CounterHandle(metric::kTransportAcks);
-  c_dropped_link_ = &metrics_->CounterHandle(metric::kMessagesDroppedLink);
-  c_acks_dropped_link_ = &metrics_->CounterHandle(metric::kAcksDroppedLink);
-}
-
-void Network::AddNodeEntry(Node* node, HostId host, double speed_factor) {
-  const NodeId id = static_cast<NodeId>(nodes_.size());
-  NodeState state;
-  state.node = node;
-  state.host = host;
-  state.speed = speed_factor;
-  // Per-node jitter stream derived from (seed, id) alone: every instance
-  // — serial or any shard of a parallel run — reproduces node i's stream
-  // bit-for-bit, which is what keeps same-seed traces identical across
-  // shard counts (docs/PARSIM.md).
-  state.rng = Rng(seed_ + 0x9E3779B97F4A7C15ULL * (static_cast<uint64_t>(id) + 1));
-  nodes_.push_back(std::move(state));
-  if (host >= hosts_.size()) hosts_.resize(host + 1);
+Network::Network(EventLoop* loop, CostModel cost, uint64_t seed)
+    : loop_(loop), cost_(cost), seed_(seed) {
+  c_sent_ = &metrics_.CounterHandle(metric::kMessagesSent);
+  c_delivered_ = &metrics_.CounterHandle(metric::kMessagesDelivered);
+  c_retransmitted_ = &metrics_.CounterHandle(metric::kMessagesRetransmitted);
+  c_deduped_ = &metrics_.CounterHandle(metric::kMessagesDeduped);
+  c_transport_acks_ = &metrics_.CounterHandle(metric::kTransportAcks);
+  c_dropped_link_ = &metrics_.CounterHandle(metric::kMessagesDroppedLink);
+  c_acks_dropped_link_ = &metrics_.CounterHandle(metric::kAcksDroppedLink);
 }
 
 void Network::RegisterNode(Node* node, HostId host, double speed_factor) {
   TCHECK(node != nullptr);
-  TCHECK(OwnsHost(host)) << "node registered on a shard that does not own "
-                            "host " << host;
-  Bind(node, static_cast<NodeId>(nodes_.size()), this);
-  AddNodeEntry(node, host, speed_factor);
-}
-
-void Network::RegisterMirror(HostId host) {
-  TCHECK(!OwnsHost(host)) << "mirror registered on the owning shard";
-  AddNodeEntry(nullptr, host, 1.0);
+  const NodeId id = static_cast<NodeId>(nodes_.size());
+  Bind(node, id, this);
+  NodeState state;
+  state.node = node;
+  state.host = host;
+  state.speed = speed_factor;
+  // Per-node jitter stream derived from (seed, id) alone, so a node's
+  // draws depend only on its own event order.
+  state.rng = Rng(seed_ + 0x9E3779B97F4A7C15ULL * (static_cast<uint64_t>(id) + 1));
+  nodes_.push_back(std::move(state));
+  if (host >= hosts_.size()) hosts_.resize(host + 1);
 }
 
 double Network::SampleLatency(NodeId node) {
@@ -69,7 +43,6 @@ void Network::Send(NodeId src, NodeId dst, PayloadPtr payload, bool reliable) {
   TCHECK_LT(src, nodes_.size());
   TCHECK_LT(dst, nodes_.size());
   NodeState& sender = nodes_[src];
-  TCHECK(sender.node != nullptr) << "Send from a node this shard does not own";
   if (!sender.alive) return;
   c_sent_->fetch_add(1, std::memory_order_relaxed);
   if (observer_ != nullptr) observer_->OnSend(src, dst, *payload);
@@ -121,27 +94,6 @@ void Network::TransmitToHost(NodeId src, NodeId dst, uint32_t src_inc,
     double start = std::max(arrival, egress.egress_busy);
     egress.egress_busy = start + cost_.nic_wire_time;
     arrival = egress.egress_busy + SampleLatency(src);
-    if (!OwnsHost(receiver.host)) {
-      // Another shard owns the receiving host: the copy leaves this
-      // shard's horizon here. `arrival >= now + nic_wire_time + minimum
-      // latency`, strictly beyond the conservative window's lookahead, so
-      // the barrier merge injects it into a future the destination shard
-      // has not simulated yet (docs/PARSIM.md).
-      CrossShardPacket p;
-      p.kind = CrossShardPacket::Kind::kWireArrival;
-      p.time = arrival;
-      p.src = src;
-      p.dst = dst;
-      p.src_inc = src_inc;
-      p.dst_inc = dst_inc;
-      p.src_shard = shard_;
-      p.emit_seq = next_emit_seq_++;
-      p.seq = seq;
-      p.payload = std::move(payload);
-      p.reliable = reliable;
-      outbox_.push_back(std::move(p));
-      return;
-    }
   }
 
   loop_->ScheduleAt(arrival, [this, src, dst, src_inc, dst_inc, seq,
@@ -162,55 +114,10 @@ void Network::TransmitToHost(NodeId src, NodeId dst, uint32_t src_inc,
   });
 }
 
-std::vector<CrossShardPacket> Network::TakeOutbox() {
-  std::vector<CrossShardPacket> out;
-  out.swap(outbox_);
-  return out;
-}
-
-void Network::InjectCrossShard(CrossShardPacket p) {
-  TCHECK_LT(p.dst, nodes_.size());
-  TCHECK(OwnsNode(p.kind == CrossShardPacket::Kind::kWireArrival ? p.dst
-                                                                 : p.src));
-  // The conservative window guarantees injected events land strictly in
-  // this shard's future; equality would mean the lookahead bound broke.
-  TCHECK_GT(p.time, loop_->now());
-  switch (p.kind) {
-    case CrossShardPacket::Kind::kWireArrival:
-      // Mirrors the cross_host branch of the transmit lambda exactly:
-      // charge the receiving NIC at the wire-arrival instant, then hand
-      // the copy to the node. Identical arithmetic, identical event
-      // shapes, hence identical traces.
-      loop_->ScheduleAt(p.time, [this, src = p.src, dst = p.dst,
-                                 src_inc = p.src_inc, dst_inc = p.dst_inc,
-                                 seq = p.seq, payload = std::move(p.payload),
-                                 reliable = p.reliable]() {
-        HostState& ingress = hosts_[nodes_[dst].host];
-        const double start = std::max(loop_->now(), ingress.ingress_busy);
-        ingress.ingress_busy = start + cost_.nic_wire_time;
-        loop_->ScheduleAt(
-            ingress.ingress_busy,
-            [this, src, dst, src_inc, dst_inc, seq, payload, reliable]() {
-              ArriveAtNode(src, dst, src_inc, dst_inc, seq, payload, reliable);
-            });
-      });
-      break;
-    case CrossShardPacket::Kind::kAckApply:
-      loop_->ScheduleAt(p.time, [this, src = p.src, src_inc = p.src_inc,
-                                 dst = p.dst, dst_inc = p.dst_inc,
-                                 cumulative = p.cumulative,
-                                 sacks = std::move(p.sacks)]() {
-        ApplyAck(src, src_inc, dst, dst_inc, cumulative, sacks);
-      });
-      break;
-  }
-}
-
 void Network::ArriveAtNode(NodeId src, NodeId dst, uint32_t src_inc,
                            uint32_t dst_inc, uint64_t seq, PayloadPtr payload,
                            bool reliable) {
   NodeState& receiver = nodes_[dst];
-  TCHECK(receiver.node != nullptr) << "arrival at a mirror entry";
   if (!receiver.alive) return;  // Dropped; the sender will retransmit.
   if (receiver.incarnation != dst_inc) {
     // The receiver restarted since this copy was transmitted; its channel
@@ -283,29 +190,11 @@ void Network::ScheduleAckApply(NodeId src, uint32_t src_inc, NodeId dst,
     (void)held;
     sacks.push_back(held_seq);
   }
-  if (OwnsNode(src)) {
-    loop_->ScheduleAt(apply_time,
-                      [this, src, src_inc, dst, dst_inc, cumulative,
-                       sacks = std::move(sacks)]() {
-                        ApplyAck(src, src_inc, dst, dst_inc, cumulative, sacks);
-                      });
-    return;
-  }
-  // The sender lives on another shard: the captured ack travels as plain
-  // data through the barrier merge. `ack_lat >= minimum network latency >
-  // window lookahead`, so it lands strictly beyond the current window.
-  CrossShardPacket p;
-  p.kind = CrossShardPacket::Kind::kAckApply;
-  p.time = apply_time;
-  p.src = src;
-  p.dst = dst;
-  p.src_inc = src_inc;
-  p.dst_inc = dst_inc;
-  p.src_shard = shard_;
-  p.emit_seq = next_emit_seq_++;
-  p.cumulative = cumulative;
-  p.sacks = std::move(sacks);
-  outbox_.push_back(std::move(p));
+  loop_->ScheduleAt(apply_time,
+                    [this, src, src_inc, dst, dst_inc, cumulative,
+                     sacks = std::move(sacks)]() {
+                      ApplyAck(src, src_inc, dst, dst_inc, cumulative, sacks);
+                    });
 }
 
 void Network::AckFollowup(NodeId src, uint32_t src_inc, NodeId dst,
@@ -459,7 +348,6 @@ void Network::ChannelTimerFired(uint64_t channel_key) {
 void Network::ScheduleOnNode(NodeId id, double delay,
                              std::function<void()> fn) {
   TCHECK_LT(id, nodes_.size());
-  TCHECK(OwnsNode(id)) << "timer on a node this shard does not own";
   const uint32_t inc = nodes_[id].incarnation;
   loop_->Schedule(delay, [this, id, inc, fn = std::move(fn)]() {
     NodeState& ns = nodes_[id];
@@ -510,7 +398,6 @@ void Network::KillNode(NodeId id) {
   NodeState& ns = nodes_[id];
   if (!ns.alive) return;
   ns.alive = false;
-  if (ns.node == nullptr) return;  // Mirror: the owning shard does the rest.
   ns.inbox.clear();
   // The crashed process loses its send-side channel state: cancel its
   // (single, per-channel) retransmission timers.
@@ -532,7 +419,6 @@ void Network::RecoverNode(NodeId id) {
   if (ns.alive) return;
   ns.alive = true;
   ns.incarnation++;
-  if (ns.node == nullptr) return;  // Mirror: the owning shard does the rest.
   ns.busy_until = loop_->now();
   ns.inbox.clear();
   ns.pump_scheduled = false;
@@ -560,11 +446,11 @@ void Network::SetLinkDown(NodeId src, NodeId dst, bool down) {
   TCHECK_LT(src, nodes_.size());
   TCHECK_LT(dst, nodes_.size());
   if (down) {
-    if (down_links_.insert(LinkKey(src, dst)).second && shard_ == 0) {
+    if (down_links_.insert(LinkKey(src, dst)).second) {
       TLOG_INFO << "link " << src << " -> " << dst << " down at t="
                 << loop_->now();
     }
-  } else if (down_links_.erase(LinkKey(src, dst)) > 0 && shard_ == 0) {
+  } else if (down_links_.erase(LinkKey(src, dst)) > 0) {
     TLOG_INFO << "link " << src << " -> " << dst << " restored at t="
               << loop_->now();
   }
@@ -574,7 +460,6 @@ void Network::SetNodeDelayFactor(NodeId id, double factor) {
   TCHECK_LT(id, nodes_.size());
   TCHECK_GT(factor, 0.0);
   nodes_[id].delay_factor = factor;
-  if (nodes_[id].node == nullptr) return;  // Mirror; owner logs.
   TLOG_INFO << "node " << id << " delay factor = " << factor
             << " at t=" << loop_->now();
 }

@@ -5,7 +5,6 @@
 #include <deque>
 #include <functional>
 #include <map>
-#include <memory>
 #include <set>
 #include <unordered_map>
 #include <vector>
@@ -23,39 +22,6 @@ namespace tornado {
 /// (runtime/substrate.h) when the transport became pluggable.
 using NetworkObserver = TransportObserver;
 
-/// A cross-shard transport event, produced by a sharded Network instance
-/// when the receiving endpoint lives on another shard's event loop
-/// (docs/PARSIM.md). The parallel backend collects these at window
-/// barriers, merges them across shards by (time, src_shard, emit_seq) —
-/// a total order every run reproduces — and injects each into the
-/// destination shard's Network.
-///
-/// Two kinds exist because the transport has exactly two cross-node
-/// interactions: a wire arrival at the receiving host's NIC, and a
-/// transport ack applying at the sender. Everything else (pumps, timers,
-/// retransmissions) is local to the endpoint's own shard.
-struct CrossShardPacket {
-  enum class Kind { kWireArrival, kAckApply };
-
-  Kind kind = Kind::kWireArrival;
-  double time = 0.0;  // virtual arrival / apply time at the destination
-  NodeId src = 0;
-  NodeId dst = 0;
-  uint32_t src_inc = 0;
-  uint32_t dst_inc = 0;
-  uint32_t src_shard = 0;  // emitting shard; merge-order component
-  uint64_t emit_seq = 0;   // per-instance emission counter; merge tiebreak
-
-  // kWireArrival payload.
-  uint64_t seq = 0;
-  PayloadPtr payload;
-  bool reliable = false;
-
-  // kAckApply payload: receive state captured when the ack was scheduled.
-  uint64_t cumulative = 0;
-  std::vector<uint64_t> sacks;
-};
-
 /// The simulated cluster fabric: node registry, host NICs, reliable
 /// channels (per-channel sequence numbers, transport acks, retransmission
 /// with exponential backoff, receiver-side dedup) and failure injection.
@@ -67,44 +33,21 @@ struct CrossShardPacket {
 /// "when a sent message is not acknowledged in certain time, it will be
 /// resent to ensure at-least-once message passing".
 ///
-/// Sharding (docs/PARSIM.md): one Network instance serves one shard of
-/// the cluster. A node on host `h` belongs to shard `h % num_shards`, so
-/// same-host traffic (and the host's NIC state) never crosses shards.
-/// Each instance holds an index-aligned `nodes_` vector covering the
-/// whole cluster: owned entries carry the live Node*, the rest are
-/// *mirrors* (node == nullptr) carrying only the host, the liveness flag
-/// and the incarnation — refreshed at window barriers, which is exact
-/// because failures and recoveries only ever execute at barriers. The
-/// serial backend is the num_shards == 1 instance that owns everything,
-/// so both backends run this exact code path.
-///
-/// Determinism across shard counts comes from per-node RNG streams: every
-/// instance derives node i's latency stream from (seed, i) alone, data /
-/// retransmit jitter is drawn from the *sender's* stream (sender-side
-/// code) and ack jitter from the *receiver's* stream (receiver-side
-/// code), so the draw order inside each stream is the per-node event
-/// order, which the windowed merge reproduces exactly.
+/// Latency jitter comes from per-node RNG streams: node i's stream is
+/// derived from (seed, i) alone, data / retransmit jitter is drawn from
+/// the *sender's* stream and ack jitter from the *receiver's*, so the
+/// draw order inside each stream is that node's event order. Same-seed
+/// traces depend on this draw schedule (docs/PERF.md, "Determinism
+/// invariants").
 class Network final : public Transport {
  public:
-  /// `shared_metrics` may point at a registry shared by all shards of a
-  /// parallel run (counters are atomics, so cross-shard bumps are safe);
-  /// when null the instance owns a private registry (the serial case).
-  Network(EventLoop* loop, CostModel cost, uint64_t seed = 1,
-          uint32_t shard = 0, uint32_t num_shards = 1,
-          MetricRegistry* shared_metrics = nullptr);
+  Network(EventLoop* loop, CostModel cost, uint64_t seed = 1);
 
   /// Registers a node on a host. Node ids are assigned densely by the
   /// caller and must be unique. The node must outlive the network.
   void RegisterNode(Node* node, HostId host, double speed_factor = 1.0) override;
 
-  /// Registers a mirror entry for a node owned by another shard: takes
-  /// the next dense node id but carries no Node*. Keeps `nodes_` index-
-  /// aligned across instances; the parallel backend interleaves
-  /// RegisterNode / RegisterMirror so every instance agrees on ids.
-  void RegisterMirror(HostId host);
-
   /// Sends `payload` from `src` to `dst`. No-op if the sender is dead.
-  /// `src` must be owned by this instance.
   void Send(NodeId src, NodeId dst, PayloadPtr payload, bool reliable) override;
 
   /// Schedules `fn` on `node`'s service queue after `delay` seconds.
@@ -119,9 +62,6 @@ class Network final : public Transport {
   /// Failure injection. Killing a node drops its inbox, its in-memory
   /// state and all unacknowledged outgoing messages; peers keep
   /// retransmitting into the void until recovery or retry exhaustion.
-  /// On a mirror entry only the liveness flag / incarnation flips — the
-  /// owning instance does the real work (the parallel backend broadcasts
-  /// these calls to every instance, always at a window barrier).
   void KillNode(NodeId id) override;
   void RecoverNode(NodeId id) override;
   bool IsAlive(NodeId id) const override;
@@ -130,9 +70,7 @@ class Network final : public Transport {
   /// `src` to `dst` are dropped at the sending host before any NIC or
   /// latency modeling, and transport acks whose reverse path is down are
   /// lost the same way. Reliable senders keep retransmitting (backoff
-  /// capped) and the channel heals when the link is restored. The down
-  /// set is replicated to every shard (data checked sender-side, acks
-  /// receiver-side).
+  /// capped) and the channel heals when the link is restored.
   void SetLinkDown(NodeId src, NodeId dst, bool down) override;
   bool IsLinkDown(NodeId src, NodeId dst) const {
     return !down_links_.empty() && down_links_.count(LinkKey(src, dst)) > 0;
@@ -146,7 +84,7 @@ class Network final : public Transport {
   double now() const override { return loop_->now(); }
   EventLoop* loop() { return loop_; }
   const CostModel& cost() const { return cost_; }
-  MetricRegistry& metrics() override { return *metrics_; }
+  MetricRegistry& metrics() override { return metrics_; }
   size_t node_count() const override { return nodes_.size(); }
 
   /// Subscribes `observer` to transport events (nullptr detaches). The
@@ -160,25 +98,14 @@ class Network final : public Transport {
   /// (in-flight or lost-awaiting-retransmission); the time-series sampler
   /// graphs this as transport backlog.
   int64_t InFlightCount() const override {
-    return metrics_->Get(metric::kMessagesSent) -
-           metrics_->Get(metric::kMessagesDelivered);
+    return metrics_.Get(metric::kMessagesSent) -
+           metrics_.Get(metric::kMessagesDelivered);
   }
 
   /// Service-queue depth of `id` (undelivered inbox entries).
   size_t InboxDepth(NodeId id) const override {
     return id < nodes_.size() ? nodes_[id].inbox.size() : 0;
   }
-
-  /// Drains the cross-shard packets emitted since the last call. Serial
-  /// instances never produce any. Called by the parallel backend at
-  /// window barriers, from the driver thread, with this shard quiesced.
-  std::vector<CrossShardPacket> TakeOutbox();
-  bool outbox_empty() const { return outbox_.empty(); }
-
-  /// Injects a packet routed to a node this instance owns: schedules the
-  /// NIC-ingress charge (wire arrival) or the captured-ack application at
-  /// `p.time` on this shard's loop. Barrier-only, like TakeOutbox.
-  void InjectCrossShard(CrossShardPacket p);
 
  private:
   struct InboxEntry {
@@ -188,7 +115,7 @@ class Network final : public Transport {
   };
 
   struct NodeState {
-    Node* node = nullptr;  // null = mirror owned by another shard
+    Node* node = nullptr;
     HostId host = 0;
     double speed = 1.0;
     double delay_factor = 1.0;  // straggler multiplier, schedule-driven
@@ -239,12 +166,13 @@ class Network final : public Transport {
   // out-of-order arrivals are held until the sequence gap fills.
   // Transport acks are coalesced, and their receive state (cumulative +
   // held sequences) is captured when the ack is *scheduled*, not when it
-  // lands: the ack then travels as plain data, so the parallel backend
-  // can apply it on the sender's shard without reading receiver state
-  // across the seam. Arrivals folded in while an ack is in flight mark
+  // lands. Arrivals folded in while an ack is in flight mark
   // `followup_scheduled`; when the in-flight ack's apply time passes, a
   // receiver-local follow-up captures the newer state and schedules the
-  // next ack.
+  // next ack. The capture points, the follow-up events and the jitter
+  // drawn for them are part of the transport's RNG draw and event
+  // schedule, which same-seed traces depend on (docs/PERF.md,
+  // "Determinism invariants").
   struct HeldMessage {
     NodeId src = 0;
     PayloadPtr payload;
@@ -272,12 +200,6 @@ class Network final : public Transport {
     return (static_cast<uint64_t>(src) << 32) | dst;
   }
 
-  bool OwnsHost(HostId host) const {
-    return num_shards_ <= 1 || host % num_shards_ == shard_;
-  }
-  bool OwnsNode(NodeId id) const { return nodes_[id].node != nullptr; }
-
-  void AddNodeEntry(Node* node, HostId host, double speed_factor);
   void TransmitToHost(NodeId src, NodeId dst, uint32_t src_inc, uint64_t seq,
                       PayloadPtr payload, bool reliable, bool retransmit);
   void ArriveAtNode(NodeId src, NodeId dst, uint32_t src_inc,
@@ -301,12 +223,9 @@ class Network final : public Transport {
   EventLoop* loop_;
   CostModel cost_;
   uint64_t seed_;
-  uint32_t shard_;
-  uint32_t num_shards_;
-  std::unique_ptr<MetricRegistry> owned_metrics_;  // serial default
-  MetricRegistry* metrics_;
+  MetricRegistry metrics_;
   // Pre-resolved counter handles: one atomic add per event, no registry
-  // lock on the hot path (the registry may be shared across shard threads).
+  // lookup on the hot path.
   metric::Counter* c_sent_;
   metric::Counter* c_delivered_;
   metric::Counter* c_retransmitted_;
@@ -319,8 +238,6 @@ class Network final : public Transport {
   std::unordered_map<uint64_t, SendChannel> send_channels_;
   std::unordered_map<uint64_t, RecvChannel> recv_channels_;
   std::set<uint64_t> down_links_;  // LinkKey(src, dst) of one-way cuts
-  std::vector<CrossShardPacket> outbox_;
-  uint64_t next_emit_seq_ = 0;
   double handler_extra_cost_ = 0.0;
   NetworkObserver* observer_ = nullptr;
 };

@@ -222,30 +222,11 @@ inline void Node::AddCost(double seconds) {
 
 inline double Node::now() const { return transport_->now(); }
 
-/// Identifies which execution lane (parallel-backend shard) the calling
-/// thread is currently driving. Layers above the seam that partition
-/// concurrent work — the trace recorder buffers events per lane and
-/// merges them deterministically at write time — read this instead of
-/// knowing any backend's threading. -1, the default, is the *driver*
-/// lane: setup, barriers, samplers, serial backends. Backends set the
-/// lane around every slice of shard work, whether it runs on a worker
-/// thread or inline on the driver thread, so the lane a given node's
-/// events land in is a function of the node, never of thread placement.
-class ExecutionLane {
- public:
-  static int32_t Current() { return current_; }
-  static void Set(int32_t lane) { current_ = lane; }
-
- private:
-  inline static thread_local int32_t current_ = -1;
-};
-
 /// Seed-derivation helper: one base seed fans out into independent named
 /// streams so components never share (or collide on) raw seeds. The
 /// transport stream tag preserves the historical `seed ^ 0xA5A5A5A5`
 /// network-seed derivation; the transport then fans that seed out into
-/// per-node latency streams (net/network.h), which is what lets the
-/// parallel backend reproduce the serial backend's draws exactly.
+/// per-node latency streams (net/network.h).
 class SubstrateRng {
  public:
   static constexpr uint64_t kTransportStream = 0xA5A5A5A5ULL;

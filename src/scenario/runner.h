@@ -1,7 +1,6 @@
 #ifndef TORNADO_SCENARIO_RUNNER_H_
 #define TORNADO_SCENARIO_RUNNER_H_
 
-#include <atomic>
 #include <functional>
 #include <map>
 #include <memory>
@@ -38,21 +37,16 @@ class ChaosCommitRegression final : public EngineObserver {
   void OnCommit(LoopId loop, LoopEpoch epoch, VertexId vertex,
                 Iteration iteration, Iteration tau,
                 Iteration horizon) override {
-    if (!armed_ || clock_->now() < fire_at_) return;
-    // One-shot across backends: on par_sim, commits from different shards
-    // can race to fire; exchange() lets exactly one through.
-    if (fired_.exchange(true, std::memory_order_relaxed)) return;
+    if (!armed_ || fired_ || clock_->now() < fire_at_) return;
+    fired_ = true;
     checker_->OnCommit(loop, epoch, vertex, iteration, tau, horizon);
   }
 
  private:
   CheckObserver* checker_;
   const Clock* clock_;
-  // Armed once during setup (before traffic); fired is the only field
-  // written from observer context, which on the par_sim backend means
-  // shard threads.
   bool armed_ = false;
-  std::atomic<bool> fired_{false};
+  bool fired_ = false;
   double fire_at_ = 0.0;
 };
 

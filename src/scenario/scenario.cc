@@ -679,23 +679,6 @@ bool ParseScenario(const JsonValue& root, Scenario* out,
   }
   reader.ReadString("description", &out->description);
   reader.ReadUint("seed", &out->seed);
-  std::string backend = "sim";
-  reader.ReadString("backend", &backend);
-  if (backend == "sim") {
-    out->backend = SubstrateBackend::kSim;
-  } else if (backend == "par_sim") {
-    out->backend = SubstrateBackend::kParSim;
-  } else {
-    errs.Add("scenario.backend", "must be \"sim\" or \"par_sim\"");
-  }
-  uint64_t shards = 0;
-  if (reader.ReadUint("shards", &shards)) {
-    if (shards < 1 || shards > 64) {
-      errs.Add("scenario.shards", "must be in [1, 64]");
-    } else {
-      out->shards = shards;
-    }
-  }
 
   // Cluster first: node references downstream validate against its shape.
   if (const JsonValue* v = reader.Claim("cluster")) {
@@ -783,12 +766,6 @@ JsonValue ScenarioToJson(const Scenario& s) {
     root.Add("description", JsonValue::Of(s.description));
   }
   root.Add("seed", JsonValue::Of(static_cast<double>(s.seed)));
-  // Emitted only off the default so the existing corpus round-trips
-  // byte-identically.
-  if (s.backend != SubstrateBackend::kSim) {
-    root.Add("backend", JsonValue::Of(std::string("par_sim")));
-    root.Add("shards", JsonValue::Of(static_cast<double>(s.shards)));
-  }
 
   JsonValue cluster = JsonValue::MakeObject();
   cluster.Add("processors",
@@ -921,8 +898,6 @@ JobConfig ScenarioJobConfig(const Scenario& s) {
   config.ingest_rate = s.workload.rate;
   config.ingest_batch = s.workload.batch;
   config.seed = s.seed;
-  config.backend = s.backend;
-  config.sim_shards = static_cast<uint32_t>(s.shards);
   for (const CostField& field : kCostFields) {
     auto it = s.cost.find(field.name);
     if (it != s.cost.end()) config.cost.*(field.member) = it->second;

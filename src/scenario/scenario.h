@@ -123,15 +123,6 @@ struct Scenario {
   std::string name;
   std::string description;
   uint64_t seed = 1;
-  /// Runtime substrate the run executes on: "sim" (default) or
-  /// "par_sim", the sharded parallel simulation (docs/PARSIM.md). Both
-  /// are deterministic and — with jittered cost models — produce
-  /// identical traces, so the field is a performance knob, not a
-  /// semantic one. The thread backend is not scriptable: scenarios rely
-  /// on virtual-time timelines and failure injection.
-  SubstrateBackend backend = SubstrateBackend::kSim;
-  /// Worker shard count for the par_sim backend (ignored on sim).
-  uint64_t shards = 4;
   ScenarioCluster cluster;
   /// CostModel overrides keyed by field name (e.g. "net_latency");
   /// unlisted fields keep their defaults. Keys are validated against the

@@ -1,7 +1,6 @@
 #include "sim/event_loop.h"
 
 #include <algorithm>
-#include <limits>
 #include <utility>
 
 #include "common/logging.h"
@@ -167,11 +166,5 @@ uint64_t EventLoop::RunUntil(double deadline) {
 }
 
 bool EventLoop::Step() { return FireNext(); }
-
-double EventLoop::NextEventTime() {
-  DropStaleTop();
-  if (heap_.empty()) return std::numeric_limits<double>::infinity();
-  return heap_.front().time;
-}
 
 }  // namespace tornado

@@ -66,12 +66,6 @@ class EventLoop {
   bool empty() const { return live_ == 0; }
   size_t pending() const { return live_; }
 
-  /// Virtual time of the earliest pending event, or +infinity when the
-  /// queue is empty. Prunes cancelled heap tombstones from the top, which
-  /// is why it is non-const. The parallel backend's window sizing
-  /// (runtime/par_sim_substrate.cc) is the intended caller.
-  double NextEventTime();
-
   /// Hard cap on total events fired by Run()/RunUntil(); guards against
   /// runaway retransmission loops in failure tests. 0 = unlimited.
   void set_event_budget(uint64_t budget) { event_budget_ = budget; }

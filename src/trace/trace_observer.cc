@@ -29,12 +29,9 @@ void TraceObserver::OnInputGathered(LoopId loop, VertexId vertex) {
 void TraceObserver::OnPrepare(LoopId loop, LoopEpoch epoch, VertexId producer,
                               uint64_t fanout) {
   if (!recorder_->enabled()) return;
-  {
-    MutexLock lock(&mu_);
-    OpenInterval& open = open_prepares_[{loop, producer}];
-    open.begin = recorder_->now();
-    open.count = fanout;
-  }
+  OpenInterval& open = open_prepares_[{loop, producer}];
+  open.begin = recorder_->now();
+  open.count = fanout;
   recorder_->Instant(kProtocol, "prepare", TrackOf(producer),
                      {{"loop", loop},
                       {"vertex", producer},
@@ -61,18 +58,15 @@ void TraceObserver::OnCommit(LoopId loop, LoopEpoch epoch, VertexId vertex,
   }
   if (!recorder_->enabled()) return;
   const uint32_t track = TrackOf(vertex);
-  {
-    MutexLock lock(&mu_);
-    auto it = open_prepares_.find({loop, vertex});
-    if (it != open_prepares_.end()) {
-      recorder_->Span(kProtocol, "prepare_round", track, it->second.begin,
-                      recorder_->now(),
-                      {{"loop", loop},
-                       {"vertex", vertex},
-                       {"iteration", iteration},
-                       {"fanout", it->second.count}});
-      open_prepares_.erase(it);
-    }
+  auto it = open_prepares_.find({loop, vertex});
+  if (it != open_prepares_.end()) {
+    recorder_->Span(kProtocol, "prepare_round", track, it->second.begin,
+                    recorder_->now(),
+                    {{"loop", loop},
+                     {"vertex", vertex},
+                     {"iteration", iteration},
+                     {"fanout", it->second.count}});
+    open_prepares_.erase(it);
   }
   recorder_->Instant(kProtocol, "commit", track,
                      {{"loop", loop},
@@ -86,12 +80,9 @@ void TraceObserver::OnCommit(LoopId loop, LoopEpoch epoch, VertexId vertex,
 void TraceObserver::OnBlock(LoopId loop, LoopEpoch epoch, VertexId vertex,
                             Iteration iteration) {
   if (!recorder_->enabled()) return;
-  {
-    MutexLock lock(&mu_);
-    OpenInterval& open = open_blocks_[{loop, vertex, iteration}];
-    if (open.count == 0) open.begin = recorder_->now();
-    ++open.count;
-  }
+  OpenInterval& open = open_blocks_[{loop, vertex, iteration}];
+  if (open.count == 0) open.begin = recorder_->now();
+  ++open.count;
   recorder_->Instant(kProtocol, "block", TrackOf(vertex),
                      {{"loop", loop},
                       {"vertex", vertex},
@@ -102,7 +93,6 @@ void TraceObserver::OnBlock(LoopId loop, LoopEpoch epoch, VertexId vertex,
 void TraceObserver::OnUnblocked(LoopId loop, LoopEpoch epoch, VertexId vertex,
                                 Iteration iteration) {
   if (!recorder_->enabled()) return;
-  MutexLock lock(&mu_);
   auto it = open_blocks_.find({loop, vertex, iteration});
   if (it == open_blocks_.end()) return;  // block predates the trace window
   recorder_->Span(kProtocol, "blocked_at_bound", TrackOf(vertex),
@@ -129,7 +119,6 @@ void TraceObserver::OnLoopCreated(LoopId loop, LoopEpoch epoch, Iteration tau,
 void TraceObserver::OnLoopDropped(LoopId loop, uint32_t processor) {
   recorder_->Instant(kProtocol, "loop_dropped", processor, {{"loop", loop}});
   // Open intervals of the dropped loop can never close; discard them.
-  MutexLock lock(&mu_);
   for (auto it = open_prepares_.begin(); it != open_prepares_.end();) {
     it = it->first.first == loop ? open_prepares_.erase(it) : std::next(it);
   }
@@ -145,7 +134,6 @@ void TraceObserver::OnEngineReset(uint32_t processor) {
   // cluster-wide mix, but a reset is rare enough that dropping all of
   // them (rather than tracking per-processor ownership) is acceptable —
   // spans never straddle a restart anyway.
-  MutexLock lock(&mu_);
   open_prepares_.clear();
   open_blocks_.clear();
 }

@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "common/metrics.h"
-#include "common/mutex.h"
 #include "engine/observer.h"
 #include "graph/dynamic_graph.h"
 #include "runtime/substrate.h"
@@ -83,17 +82,8 @@ class TraceObserver final : public EngineObserver, public TransportObserver {
   HashPartitioner partitioner_;
   uint32_t fallback_track_;
   MetricRegistry* metrics_;  // may be null
-  // The open-interval maps mix keys owned by different processors (loop
-  // drops and engine resets sweep entries for *other* processors'
-  // vertices), so on the parallel sim backend they are touched from
-  // several shard threads; the record calls themselves stay lock-free
-  // (per-lane, see TraceRecorder). Serial backends pay one uncontended
-  // lock per protocol event.
-  Mutex mu_;
-  std::map<std::pair<LoopId, VertexId>, OpenInterval> open_prepares_
-      GUARDED_BY(mu_);
-  std::map<std::tuple<LoopId, VertexId, Iteration>, OpenInterval> open_blocks_
-      GUARDED_BY(mu_);
+  std::map<std::pair<LoopId, VertexId>, OpenInterval> open_prepares_;
+  std::map<std::tuple<LoopId, VertexId, Iteration>, OpenInterval> open_blocks_;
 };
 
 }  // namespace tornado

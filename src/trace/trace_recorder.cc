@@ -63,36 +63,20 @@ void WriteArgs(std::ostream& os, const TraceArgs& args) {
 
 }  // namespace
 
-TraceRecorder::TraceRecorder(const Clock* clock, uint32_t lanes,
-                             size_t max_events)
-    : clock_(clock), max_events_(max_events) {
-  lanes_.resize(lanes == 0 ? 1 : lanes);
-}
+TraceRecorder::TraceRecorder(const Clock* clock, size_t max_events)
+    : clock_(clock), max_events_(max_events) {}
 
 void TraceRecorder::SetTrackName(uint32_t track, const std::string& name) {
   track_names_[track] = name;
 }
 
-TraceRecorder::Lane& TraceRecorder::CurrentLane() {
-  if (lanes_.size() == 1) return lanes_[0];
-  // Shard lanes take their shard's index; anything else — the driver's
-  // -1, or an out-of-range id from a misconfigured backend — lands in
-  // the driver lane at the end.
-  const int32_t lane = ExecutionLane::Current();
-  if (lane >= 0 && static_cast<size_t>(lane) < lanes_.size() - 1) {
-    return lanes_[static_cast<size_t>(lane)];
-  }
-  return lanes_.back();
-}
-
 void TraceRecorder::Push(TraceEvent ev) {
-  Lane& lane = CurrentLane();
-  if (lane.events.size() >= max_events_) {
-    ++lane.dropped;
+  if (events_.size() >= max_events_) {
+    ++dropped_;
     return;
   }
-  lane.record_ts.push_back(clock_->now());
-  lane.events.push_back(std::move(ev));
+  record_ts_.push_back(clock_->now());
+  events_.push_back(std::move(ev));
 }
 
 void TraceRecorder::Span(const char* cat, const char* name, uint32_t track,
@@ -148,24 +132,10 @@ void TraceRecorder::Flow(char phase, const char* cat, const char* name,
   Push(std::move(ev));
 }
 
-size_t TraceRecorder::size() const {
-  size_t n = 0;
-  for (const Lane& lane : lanes_) n += lane.events.size();
-  return n;
-}
-
-size_t TraceRecorder::dropped() const {
-  size_t n = 0;
-  for (const Lane& lane : lanes_) n += lane.dropped;
-  return n;
-}
-
 void TraceRecorder::Clear() {
-  for (Lane& lane : lanes_) {
-    lane.events.clear();
-    lane.record_ts.clear();
-    lane.dropped = 0;
-  }
+  events_.clear();
+  record_ts_.clear();
+  dropped_ = 0;
 }
 
 void TraceRecorder::WriteChromeTrace(std::ostream& os) const {
@@ -178,38 +148,20 @@ void TraceRecorder::WriteChromeTrace(std::ostream& os) const {
        << ",\"args\":{\"name\":\"" << Escaped(name) << "\"}}";
     first = false;
   }
-  // Canonical export order: (record time, track, lane, intra-lane order).
-  // Lane count 1 or N, serial or parallel, the same comparator runs — the
-  // canonical form is exactly what makes an N-shard run's output
-  // byte-identical to the serial run's. Record time interleaves the
-  // lanes; the *track* breaks exact-double ties (deterministic setup
-  // times, periodic timers) identically in every configuration, because
-  // a track's events are recorded by a single lane and the serial
-  // recorder sees the same (time, track) multiset; lane + lane order
-  // keep same-track events in execution order.
-  std::vector<std::pair<uint32_t, uint32_t>> merged;  // (lane, index)
-  size_t total = 0;
-  for (const Lane& lane : lanes_) total += lane.events.size();
-  merged.reserve(total);
-  for (uint32_t l = 0; l < lanes_.size(); ++l) {
-    for (uint32_t i = 0; i < lanes_[l].events.size(); ++i) {
-      merged.emplace_back(l, i);
+  // Export order: (record time, track, record order). The track breaks
+  // exact-double time ties (deterministic setup times, periodic timers);
+  // record order keeps same-track events in execution order.
+  std::vector<uint32_t> order(events_.size());
+  for (uint32_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::sort(order.begin(), order.end(), [this](uint32_t a, uint32_t b) {
+    if (record_ts_[a] != record_ts_[b]) return record_ts_[a] < record_ts_[b];
+    if (events_[a].track != events_[b].track) {
+      return events_[a].track < events_[b].track;
     }
-  }
-  std::sort(merged.begin(), merged.end(),
-            [this](const std::pair<uint32_t, uint32_t>& a,
-                   const std::pair<uint32_t, uint32_t>& b) {
-              const double ta = lanes_[a.first].record_ts[a.second];
-              const double tb = lanes_[b.first].record_ts[b.second];
-              if (ta != tb) return ta < tb;
-              const uint32_t ka = lanes_[a.first].events[a.second].track;
-              const uint32_t kb = lanes_[b.first].events[b.second].track;
-              if (ka != kb) return ka < kb;
-              if (a.first != b.first) return a.first < b.first;
-              return a.second < b.second;
-            });
-  for (const auto& [lane, index] : merged) {
-    const TraceEvent& ev = lanes_[lane].events[index];
+    return a < b;
+  });
+  for (const uint32_t index : order) {
+    const TraceEvent& ev = events_[index];
     if (!first) os << ",\n";
     first = false;
     os << "{\"name\":\"" << Escaped(ev.name) << "\",\"cat\":\"" << ev.cat

@@ -29,35 +29,21 @@ namespace tornado {
 /// A hard cap bounds memory on long runs; overflow events are counted,
 /// not silently lost.
 ///
-/// Threading: the recorder is lock-free by *partitioning*, not by being
-/// single-threaded. It is built with a lane count; each record call
-/// appends to the buffer of the caller's ExecutionLane
-/// (runtime/substrate.h), so on the parallel sim backend every shard
-/// writes its own lane and the driver (setup, barriers, samplers) writes
-/// the last lane — no two threads ever share a buffer, and the window
-/// barrier's epoch protocol provides the happens-before edges for
-/// WriteChromeTrace's cross-lane read. Pause/Resume and SetTrackName are
-/// driver-only calls made while shards are quiescent. The serial sim
-/// backend is simply the lanes == 1 case of the same machinery.
-///
-/// Export uses one *canonical order* at every lane count: events sort by
-/// (record time, track, lane, lane order), where record time is the
-/// virtual clock at the record call (a span's *close* time). That
-/// canonical form — not raw recording order — is what the byte-identity
-/// guarantee rests on: record time interleaves the lanes, and when two
-/// events carry the exact same double timestamp (t = 0 setup, periodic
-/// timers) the *track* breaks the tie the same way in serial and at any
-/// shard count, because a given track's events are recorded by a single
-/// lane and stay in execution order via the (lane, lane order) tail. The
-/// residual caveat — two *different* lanes recording the same track at
-/// the same double timestamp — is spelled out in docs/PARSIM.md. The
-/// thread backend has no deterministic clock and gets no recorder at all
+/// Threading: single-threaded. Only the sim backend traces; the thread
+/// backend has no deterministic clock and gets no recorder at all
 /// (TornadoCluster::EnableTracing() warns and returns nullptr there).
+///
+/// Export sorts events by (record time, track, record order), where
+/// record time is the virtual clock at the record call (a span's *close*
+/// time). That order defines the trace bytes the same-seed goldens pin
+/// (tests/trace_determinism_test.cc): when two events carry the exact
+/// same double timestamp (t = 0 setup, periodic timers) the track breaks
+/// the tie, and record order keeps a track's events in execution order.
 class TraceRecorder {
  public:
   static constexpr size_t kDefaultMaxEvents = 500000;
 
-  explicit TraceRecorder(const Clock* clock, uint32_t lanes = 1,
+  explicit TraceRecorder(const Clock* clock,
                          size_t max_events = kDefaultMaxEvents);
 
   void Pause() { enabled_ = false; }
@@ -88,38 +74,30 @@ class TraceRecorder {
   void Flow(char phase, const char* cat, const char* name, uint32_t track,
             uint64_t flow_id);
 
-  /// Recorded events in recording order. Single-lane recorders only
-  /// (unit tests inspect them directly); multi-lane recorders expose
-  /// their merged view through WriteChromeTrace.
-  const std::vector<TraceEvent>& events() const { return lanes_[0].events; }
-  size_t size() const;
-  size_t dropped() const;
+  /// Recorded events in recording order.
+  const std::vector<TraceEvent>& events() const { return events_; }
+  size_t size() const { return events_.size(); }
+  size_t dropped() const { return dropped_; }
   void Clear();
 
   /// Writes the Chrome trace-event JSON ({"traceEvents": [...]}), one
-  /// event per line, in the canonical (record time, track, lane, lane
-  /// order) sort — identical output for serial and sharded runs.
+  /// event per line, sorted by (record time, track, record order).
   void WriteChromeTrace(std::ostream& os) const;
 
   /// Same, to a file. Returns false on I/O failure.
   bool WriteChromeTraceFile(const std::string& path) const;
 
  private:
-  struct Lane {
-    std::vector<TraceEvent> events;
-    // Virtual time of each record call, index-aligned with `events`;
-    // the primary key of the canonical export sort.
-    std::vector<double> record_ts;
-    size_t dropped = 0;
-  };
-
-  Lane& CurrentLane();
   void Push(TraceEvent ev);
 
   const Clock* clock_;
   bool enabled_ = true;
-  size_t max_events_;  // per lane
-  std::vector<Lane> lanes_;
+  size_t max_events_;
+  std::vector<TraceEvent> events_;
+  // Virtual time of each record call, index-aligned with `events_`; the
+  // primary key of the export sort.
+  std::vector<double> record_ts_;
+  size_t dropped_ = 0;
   std::map<uint32_t, std::string> track_names_;
 };
 

@@ -43,7 +43,7 @@ TEST(SsspBaselineTest, AllModelsComputeTheExactFixedPoint) {
       reference.Apply(std::get<EdgeDelta>(tuple->delta));
     }
   }
-  const auto expected = reference.ShortestPaths(0);
+  const auto expected = SolveSssp(reference, 0).dist;
 
   for (ExecutionModel model :
        {ExecutionModel::kSparkLike, ExecutionModel::kGraphLabLike,

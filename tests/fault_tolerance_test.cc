@@ -52,7 +52,7 @@ void ExpectCorrect(const TornadoCluster& cluster, LoopId branch,
   while (auto tuple = replay.Next()) {
     graph.Apply(std::get<EdgeDelta>(tuple->delta));
   }
-  const auto expected = graph.ShortestPaths(kSource);
+  const auto expected = SolveSssp(graph, kSource).dist;
   size_t finite = 0;
   for (VertexId v : graph.Vertices()) {
     auto state = cluster.ReadVertexState(branch, v);

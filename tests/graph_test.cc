@@ -1,12 +1,13 @@
 // Unit tests for the dynamic graph substrate and the partitioner,
-// including property-style sweeps comparing Dijkstra against brute-force
-// Bellman-Ford on random graphs.
+// including property-style sweeps comparing the reference SSSP solver
+// (SolveSssp, Dijkstra) against brute-force Bellman-Ford on random graphs.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <unordered_map>
 
+#include "baselines/solvers.h"
 #include "common/rng.h"
 #include "graph/dynamic_graph.h"
 #include "tests/test_util.h"
@@ -27,12 +28,12 @@ TEST(DynamicGraphTest, InsertAndRemove) {
   EXPECT_FALSE(graph.Apply(EdgeDelta{1, 9, 1.0, false}));  // unknown edge
 }
 
-TEST(DynamicGraphTest, ShortestPathsTinyGraph) {
+TEST(DynamicGraphTest, SolveSsspTinyGraph) {
   DynamicGraph graph;
   graph.Apply(EdgeDelta{0, 1, 1.0, true});
   graph.Apply(EdgeDelta{1, 2, 1.0, true});
   graph.Apply(EdgeDelta{0, 2, 5.0, true});
-  auto dist = graph.ShortestPaths(0);
+  auto dist = SolveSssp(graph, 0).dist;
   EXPECT_DOUBLE_EQ(dist[1], 1.0);
   EXPECT_DOUBLE_EQ(dist[2], 2.0);
   EXPECT_EQ(dist.count(99), 0u);
@@ -86,7 +87,7 @@ TEST_P(DijkstraPropertyTest, MatchesBellmanFordOnRandomGraph) {
   }
 
   const auto expected = BellmanFord(graph, 0);
-  const auto got = graph.ShortestPaths(0);
+  const auto got = SolveSssp(graph, 0).dist;
   EXPECT_EQ(got.size(), expected.size());
   for (const auto& [v, d] : expected) {
     ASSERT_TRUE(got.count(v) > 0) << "vertex " << v;

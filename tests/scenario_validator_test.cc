@@ -48,6 +48,29 @@ TEST(ScenarioValidatorTest, UnknownFieldIsRejectedWithItsPath) {
       << Join(errors);
 }
 
+// Scenarios run on the sim backend only; the schema has no backend or
+// shard-count knob, so either key is an unknown field whatever its value
+// (even the sim backend's own name).
+TEST(ScenarioValidatorTest, BackendAndShardsKeysAreUnknownFields) {
+  const std::string workload =
+      R"("workload": {"kind": "sssp", "tuples": 4000, "rate": 10000})";
+  const struct {
+    std::string extra;
+    std::string error;
+  } cases[] = {
+      {R"("backend": "sim")", "scenario.backend: unknown field"},
+      {R"("shards": 4)", "scenario.shards: unknown field"},
+  };
+  for (const auto& c : cases) {
+    Scenario scenario;
+    std::vector<std::string> errors;
+    EXPECT_FALSE(ParseScenarioText(
+        R"({"name": "x", )" + c.extra + ", " + workload + "}", &scenario,
+        &errors));
+    EXPECT_TRUE(Contains(errors, c.error)) << Join(errors);
+  }
+}
+
 TEST(ScenarioValidatorTest, WrongTypeNamesTheExpectedType) {
   const auto errors = ErrorsOf("bad_wrong_type.json");
   EXPECT_TRUE(Contains(errors, "scenario.workload.rate: expected number"))

@@ -1,10 +1,8 @@
 // Cross-backend equivalence (docs/RUNTIME.md): the same job must behave
 // identically on the deterministic simulation across runs (byte-identical
-// causal trace); the parallel simulation must reproduce the serial trace
-// byte for byte at every shard count (docs/PARSIM.md); and the thread
-// backend — real OS threads, wall clock, in-process mailboxes — must
-// converge to the same pagerank fixed point once both backends have
-// ingested the identical stream.
+// causal trace), and the thread backend — real OS threads, wall clock,
+// in-process mailboxes — must converge to the same pagerank fixed point
+// once both backends have ingested the identical stream.
 
 #include <gtest/gtest.h>
 
@@ -21,11 +19,7 @@
 #include "algos/pagerank.h"
 #include "check/invariant_checker.h"
 #include "core/cluster.h"
-#include "runtime/par_sim_substrate.h"
 #include "runtime/thread_substrate.h"
-#include "scenario/runner.h"
-#include "scenario/scenario.h"
-#include "sim/cost_model.h"
 #include "stream/graph_stream.h"
 #include "trace/trace_recorder.h"
 
@@ -35,15 +29,12 @@ namespace {
 constexpr uint64_t kVertices = 80;
 constexpr uint64_t kTuples = 500;
 
-// Trace-comparing runs must not overflow the recorder: the serial
-// backend has one lane and par_sim has shards + 1, so a per-lane cap
-// truncates the two runs at *different* suffixes and the byte
-// comparison reports a bogus divergence. The full fixed-point workload
-// above records tens of millions of events (the 1e-12 branch relaxation
-// runs thousands of iterations), so the byte-identity tests run a
-// compact variant — byte-identity is a property of the simulation
-// machinery, not of convergence depth — with lanes sized well above the
-// run and a zero-drop assertion.
+// Trace-comparing runs must not overflow the recorder. The full
+// fixed-point workload above records tens of millions of events (the
+// 1e-12 branch relaxation runs thousands of iterations), so the
+// byte-identity test runs a compact variant — byte-identity is a
+// property of the simulation machinery, not of convergence depth — with
+// the recorder sized well above the run and a zero-drop assertion.
 constexpr uint64_t kTraceVertices = 16;
 constexpr uint64_t kTraceTuples = 100;
 constexpr double kTraceTolerance = 1e-7;
@@ -55,26 +46,10 @@ struct RunParams {
   uint64_t vertices = kVertices;
   uint64_t tuples = kTuples;
   double tolerance = 1e-12;
-  uint32_t shards = 4;
 };
 
 constexpr RunParams kTraceRun = {kTraceVertices, kTraceTuples,
-                                 kTraceTolerance, /*shards=*/4};
-
-// gtest's failure printer for multi-megabyte strings is useless; report
-// the first divergent byte and a little context instead.
-testing::AssertionResult TracesIdentical(const std::string& a,
-                                         const std::string& b) {
-  if (a == b) return testing::AssertionSuccess();
-  size_t i = 0;
-  const size_t n = std::min(a.size(), b.size());
-  while (i < n && a[i] == b[i]) ++i;
-  const size_t from = i < 80 ? 0 : i - 80;
-  return testing::AssertionFailure()
-         << "traces diverge at byte " << i << " (sizes " << a.size() << " vs "
-         << b.size() << ")\n  a: ..." << a.substr(from, 160) << "\n  b: ..."
-         << b.substr(from, 160);
-}
+                                 kTraceTolerance};
 
 JobConfig MakeConfig(SubstrateBackend backend, const RunParams& params) {
   JobConfig config;
@@ -91,7 +66,6 @@ JobConfig MakeConfig(SubstrateBackend backend, const RunParams& params) {
   config.merge_branches = true;
   config.seed = 42;
   config.backend = backend;
-  config.sim_shards = params.shards;
   return config;
 }
 
@@ -194,87 +168,6 @@ TEST(SubstrateEquivalenceTest, ThreadBackendReachesSimFixedPoint) {
   EXPECT_LE(max_delta, 1e-9) << "backends diverged by " << max_delta;
 }
 
-// --- Parallel simulation ---------------------------------------------------
-
-// The core par_sim claim (docs/PARSIM.md): the sharded conservative-window
-// simulation is not merely deterministic, it reproduces the *serial*
-// backend's causal trace byte for byte — same events, same virtual
-// timestamps, same arguments, same file bytes — at any shard count.
-TEST(SubstrateEquivalenceTest, ParSimMatchesSimTraceByteForByte) {
-  std::string sim_trace;
-  const auto sim_ranks =
-      RunToFixedPoint(SubstrateBackend::kSim, &sim_trace, kTraceRun);
-  ASSERT_FALSE(sim_trace.empty());
-
-  for (const uint32_t shards : {1u, 2u, 4u}) {
-    SCOPED_TRACE("par_sim shards=" + std::to_string(shards));
-    std::string par_trace;
-    RunParams par_params = kTraceRun;
-    par_params.shards = shards;
-    const auto par_ranks =
-        RunToFixedPoint(SubstrateBackend::kParSim, &par_trace, par_params);
-    EXPECT_TRUE(TracesIdentical(sim_trace, par_trace));
-    EXPECT_EQ(sim_ranks, par_ranks);
-  }
-}
-
-// Replays a corpus scenario — fig8d's processor crash/restart timeline,
-// scaled down — through the ScenarioRunner on both sim backends and
-// demands identical traces, identical figure series, and identical final
-// counters. This covers what the plain pagerank run cannot: failure
-// injection (kill/recover broadcast to mirrors), drive-boundary action
-// application, and the bucketed sampling path.
-TEST(SubstrateEquivalenceTest, ParSimMatchesSimOnFig8dScenario) {
-  scenario::Scenario base;
-  std::vector<std::string> errors;
-  const std::string path =
-      std::string(TORNADO_SCENARIO_CORPUS) + "/fig8d_processor_failure.json";
-  ASSERT_TRUE(scenario::LoadScenarioFile(path, &base, &errors))
-      << (errors.empty() ? path : errors[0]);
-
-  // Scale the corpus run down to test size; keep the crash inside the
-  // sampled window and the recovery inside it too.
-  base.workload.tuples = 2600;
-  base.drive.warmup_tuples = 1300;
-  base.drive.settle_seconds = 0.25;
-  base.drive.sample_count = 24;
-  ASSERT_FALSE(base.timeline.empty());
-  base.timeline[0].downtime = 0.25;
-
-  auto run = [](const scenario::Scenario& s, std::string* trace) {
-    scenario::RunOptions options;
-    options.after_build = [](TornadoCluster& c) {
-      c.EnableTracing(kTraceMaxEvents);
-    };
-    scenario::ScenarioRunner runner(s, std::move(options));
-    scenario::ScenarioVerdict verdict = runner.Run();
-    EXPECT_EQ(runner.cluster()->trace()->dropped(), 0u);
-    std::ostringstream os;
-    runner.cluster()->trace()->WriteChromeTrace(os);
-    *trace = os.str();
-    return verdict;
-  };
-
-  scenario::Scenario par = base;
-  par.backend = SubstrateBackend::kParSim;
-  par.shards = 3;  // 6 hosts -> two per shard, master and ingester split
-
-  std::string sim_trace;
-  std::string par_trace;
-  const auto sim_verdict = run(base, &sim_trace);
-  const auto par_verdict = run(par, &par_trace);
-
-  EXPECT_TRUE(sim_verdict.completed && sim_verdict.invariants_held)
-      << sim_verdict.Summary();
-  EXPECT_TRUE(par_verdict.completed && par_verdict.invariants_held)
-      << par_verdict.Summary();
-  ASSERT_FALSE(sim_trace.empty());
-  EXPECT_TRUE(TracesIdentical(sim_trace, par_trace));
-  EXPECT_EQ(sim_verdict.updates_per_bucket, par_verdict.updates_per_bucket);
-  EXPECT_EQ(sim_verdict.counters, par_verdict.counters);
-  EXPECT_EQ(sim_verdict.fixed_point_reached, par_verdict.fixed_point_reached);
-}
-
 // --- Mailbox contention --------------------------------------------------
 //
 // Many node threads hammering a single target mailbox is the thread
@@ -374,12 +267,9 @@ TEST(SubstrateEquivalenceTest, ThreadMailboxContentionDrainsClean) {
 
 // --- Shutdown ordering -----------------------------------------------------
 //
-// Send() is lossless on both concurrent backends, so a run that ends the
-// instant after a burst must still deliver every accepted message: the
-// thread backend drains each mailbox when its service thread observes
-// stop, and the parallel sim injects outbox packets at every barrier (and
-// sweeps any residue in Shutdown) so slice boundaries that land mid-window
-// never strand a cross-shard message.
+// Send() is lossless on the thread backend, so a run that ends the
+// instant after a burst must still deliver every accepted message: each
+// mailbox is drained when its service thread observes stop.
 
 TEST(SubstrateEquivalenceTest, ThreadShutdownDeliversAcceptedMessages) {
   constexpr int64_t kCount = 200;
@@ -402,41 +292,6 @@ TEST(SubstrateEquivalenceTest, ThreadShutdownDeliversAcceptedMessages) {
   EXPECT_EQ(sink.received(), kCount);
   EXPECT_EQ(substrate.thread_transport()->InFlightCount(), 0);
   EXPECT_EQ(substrate.thread_transport()->InboxDepth(0), 0u);
-}
-
-TEST(SubstrateEquivalenceTest, ParSimMidWindowSlicesLoseNoMessages) {
-  constexpr int kBursts = 8;
-  constexpr int kPerBurst = 16;
-  constexpr int64_t kExpected = static_cast<int64_t>(kBursts) * kPerBurst;
-
-  SinkNode sink;  // registered first -> NodeId 0, host 1 -> shard 1
-  HammerNode hammer(/*sink=*/0, kBursts, kPerBurst);  // host 0 -> shard 0
-
-  const CostModel cost;
-  ParSimSubstrate substrate(cost, /*base_seed=*/5, /*num_shards=*/2);
-  substrate.transport()->RegisterNode(&sink, /*host=*/1);
-  substrate.transport()->RegisterNode(&hammer, /*host=*/0);
-  hammer.Kick();
-  substrate.Start();
-
-  // Advance in slices far smaller than the conservative window, so every
-  // RunFor boundary lands mid-window with cross-shard packets in flight.
-  // Nothing may be stranded at a boundary: each subsequent slice must
-  // keep delivering until all bursts arrive.
-  const double lookahead = cost.net_latency * (1.0 - cost.net_jitter);
-  const double slice = lookahead / 7.0;
-  int slices = 0;
-  while (sink.received() < kExpected && slices < 20000) {
-    substrate.RunFor(slice);
-    ++slices;
-  }
-  EXPECT_EQ(sink.received(), kExpected)
-      << "after " << slices << " mid-window slices";
-  EXPECT_EQ(substrate.transport()->InboxDepth(0), 0u);
-
-  substrate.Shutdown();
-  substrate.Shutdown();  // idempotent
-  EXPECT_EQ(sink.received(), kExpected);
 }
 
 }  // namespace

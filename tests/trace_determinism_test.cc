@@ -9,11 +9,14 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "algos/kmeans.h"
 #include "algos/sgd.h"
 #include "algos/sssp.h"
 #include "core/cluster.h"
+#include "scenario/runner.h"
+#include "scenario/scenario.h"
 #include "stream/graph_stream.h"
 #include "stream/instance_stream.h"
 #include "stream/point_stream.h"
@@ -50,6 +53,18 @@ struct TracedRun {
   size_t events = 0;
 };
 
+TracedRun Capture(TornadoCluster& cluster) {
+  TracedRun run;
+  run.events = cluster.trace()->size();
+  std::ostringstream trace_os;
+  cluster.trace()->WriteChromeTrace(trace_os);
+  run.trace_json = trace_os.str();
+  std::ostringstream series_os;
+  cluster.sampler()->WriteCsv(series_os);
+  run.series_csv = series_os.str();
+  return run;
+}
+
 TracedRun RunOnce(bool with_failure) {
   TornadoCluster cluster(MakeConfig(),
                          std::make_unique<GraphStream>(MakeStream()));
@@ -61,16 +76,7 @@ TracedRun RunOnce(bool with_failure) {
                                 cluster.now() + 0.02, 0.3);
   }
   cluster.RunFor(0.6);
-
-  TracedRun run;
-  run.events = cluster.trace()->size();
-  std::ostringstream trace_os;
-  cluster.trace()->WriteChromeTrace(trace_os);
-  run.trace_json = trace_os.str();
-  std::ostringstream series_os;
-  cluster.sampler()->WriteCsv(series_os);
-  run.series_csv = series_os.str();
-  return run;
+  return Capture(cluster);
 }
 
 TEST(TraceDeterminismTest, SameSeedYieldsByteIdenticalArtifacts) {
@@ -126,17 +132,8 @@ TracedRun RunWithBranch(JobConfig config, std::unique_ptr<StreamSource> stream,
   EXPECT_TRUE(cluster.RunUntilQueryDone(query, 600.0));
   EXPECT_TRUE(cluster.RunUntilEmitted(tuples, 600.0));
   cluster.RunFor(0.2);
-
-  TracedRun run;
-  run.events = cluster.trace()->size();
   EXPECT_EQ(cluster.trace()->dropped(), 0u);
-  std::ostringstream trace_os;
-  cluster.trace()->WriteChromeTrace(trace_os);
-  run.trace_json = trace_os.str();
-  std::ostringstream series_os;
-  cluster.sampler()->WriteCsv(series_os);
-  run.series_csv = series_os.str();
-  return run;
+  return Capture(cluster);
 }
 
 TracedRun RunSgd() {
@@ -189,6 +186,50 @@ TEST(TraceDeterminismTest, KMeansTraceIsByteIdenticalAndMatchesGolden) {
   EXPECT_EQ(a.trace_json, b.trace_json);
   EXPECT_EQ(a.series_csv, b.series_csv);
   EXPECT_EQ(Digest(a), 0xe610d98981268f3cULL);
+}
+
+// --- The failure path: a corpus crash/recovery drive. ---
+//
+// fig8d's processor crash/restart timeline, scaled down to test size with
+// the crash and the recovery both inside the sampled window, replayed
+// through the ScenarioRunner. It covers what the plain runs above do not:
+// kill/recover in the transport, drive-boundary action application and
+// the bucketed sampling path. The golden pins the trace bytes: a change
+// to the transport's event or RNG draw schedule, or to the recorder's
+// export order, shows up here.
+
+TracedRun RunFig8dFailure() {
+  scenario::Scenario s;
+  std::vector<std::string> errors;
+  const std::string path =
+      std::string(TORNADO_SCENARIO_CORPUS) + "/fig8d_processor_failure.json";
+  EXPECT_TRUE(scenario::LoadScenarioFile(path, &s, &errors))
+      << (errors.empty() ? path : errors[0]);
+  s.workload.tuples = 2600;
+  s.drive.warmup_tuples = 1300;
+  s.drive.settle_seconds = 0.25;
+  s.drive.sample_count = 24;
+  EXPECT_FALSE(s.timeline.empty());
+  if (!s.timeline.empty()) s.timeline[0].downtime = 0.25;
+
+  scenario::RunOptions options;
+  options.after_build = [](TornadoCluster& c) { c.EnableTracing(4'000'000); };
+  scenario::ScenarioRunner runner(s, std::move(options));
+  const scenario::ScenarioVerdict verdict = runner.Run();
+  EXPECT_TRUE(verdict.completed && verdict.invariants_held)
+      << verdict.Summary();
+
+  EXPECT_EQ(runner.cluster()->trace()->dropped(), 0u);
+  return Capture(*runner.cluster());
+}
+
+TEST(TraceDeterminismTest, Fig8dFailureTraceIsByteIdenticalAndMatchesGolden) {
+  const TracedRun a = RunFig8dFailure();
+  const TracedRun b = RunFig8dFailure();
+  EXPECT_GT(a.events, 0u);
+  EXPECT_EQ(a.trace_json, b.trace_json);
+  EXPECT_EQ(a.series_csv, b.series_csv);
+  EXPECT_EQ(Digest(a), 0x16f33bb4a41d6a85ULL);
 }
 
 }  // namespace

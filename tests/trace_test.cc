@@ -79,7 +79,7 @@ TEST(TraceRecorderTest, PauseDropsRecordCalls) {
 TEST(TraceRecorderTest, CapCountsOverflowInsteadOfGrowing) {
   EventLoop loop;
   SimScheduler sched(&loop);
-  TraceRecorder recorder(&sched, /*lanes=*/1, /*max_events=*/3);
+  TraceRecorder recorder(&sched, /*max_events=*/3);
   for (int i = 0; i < 10; ++i) {
     recorder.Instant(trace_cat::kProtocol, "e", 0);
   }

@@ -19,9 +19,8 @@
 //            TORNADO_MESSAGE_SERDE registry in core/message_serde.cc
 //   RUN-001  #include of a concrete substrate type (sim/event_loop.h,
 //            net/network.h) outside the substrate layer itself
-//            (src/sim/, src/net/, src/runtime/sim_*,
-//            src/runtime/par_sim_*) — everything else must program
-//            against runtime/substrate.h
+//            (src/sim/, src/net/, src/runtime/sim_*) — everything
+//            else must program against runtime/substrate.h
 //   CON-001  raw std:: synchronization primitive (mutex, thread,
 //            condition_variable, ...) outside src/runtime/ and
 //            src/common/ — everything above the seam uses the annotated
@@ -621,8 +620,7 @@ void CheckPointerKeys(const SourceFile& f, Linter* lint) {
 bool ExemptFromRuntimeIncludeRule(const std::string& path) {
   return path.find("src/sim/") != std::string::npos ||
          path.find("src/net/") != std::string::npos ||
-         path.find("src/runtime/sim_") != std::string::npos ||
-         path.find("src/runtime/par_sim_") != std::string::npos;
+         path.find("src/runtime/sim_") != std::string::npos;
 }
 
 void CheckRuntimeIncludes(const SourceFile& f, Linter* lint) {
