@@ -1,7 +1,6 @@
 #include "graph/dynamic_graph.h"
 
 #include <algorithm>
-#include <cmath>
 
 namespace tornado {
 
@@ -42,45 +41,6 @@ std::vector<VertexId> DynamicGraph::Vertices() const {
   for (const auto& [v, edges] : adjacency_) out.push_back(v);
   std::sort(out.begin(), out.end());  // deterministic listing for callers
   return out;
-}
-
-std::unordered_map<VertexId, double> DynamicGraph::PageRank(
-    double damping, double epsilon, int max_iterations) const {
-  std::unordered_map<VertexId, double> rank;
-  const size_t n = adjacency_.size();
-  if (n == 0) return rank;
-  const double init = 1.0 / static_cast<double>(n);
-  for (const auto& [v, edges] : adjacency_) rank[v] = init;
-
-  for (int iter = 0; iter < max_iterations; ++iter) {
-    std::unordered_map<VertexId, double> next;
-    next.reserve(n);
-    double dangling = 0.0;
-    for (const auto& [v, edges] : adjacency_) {
-      if (edges.empty()) {
-        dangling += rank[v];
-        continue;
-      }
-      const double share = rank[v] / static_cast<double>(edges.size());
-      for (const Edge& e : edges) next[e.dst] += share;
-    }
-    const double base =
-        (1.0 - damping) / static_cast<double>(n) +
-        damping * dangling / static_cast<double>(n);
-    double delta = 0.0;
-    for (const auto& [v, edges] : adjacency_) {
-      const double value = base + damping * next[v];
-      delta += std::fabs(value - rank[v]);
-      next[v] = value;
-    }
-    // Keep vertices with no in-edges present.
-    for (const auto& [v, edges] : adjacency_) {
-      if (next.find(v) == next.end()) next[v] = base;
-    }
-    rank = std::move(next);
-    if (delta <= epsilon) break;
-  }
-  return rank;
 }
 
 }  // namespace tornado

@@ -36,11 +36,6 @@ class DynamicGraph {
   size_t NumVertices() const { return adjacency_.size(); }
   size_t NumEdges() const { return num_edges_; }
 
-  /// Reference PageRank by synchronous power iteration to `epsilon` (L1).
-  std::unordered_map<VertexId, double> PageRank(double damping,
-                                                double epsilon,
-                                                int max_iterations) const;
-
  private:
   std::unordered_map<VertexId, std::vector<Edge>> adjacency_;
   size_t num_edges_ = 0;

@@ -1,10 +1,8 @@
-// Runtime CPU dispatch for the batch kernels: pick the widest variant the
-// host supports, once, at first use. Overrides (checked in this order):
+// Runtime CPU dispatch for the batch kernels: pick AVX2 when the host
+// supports it, once, at first use. TORNADO_FORCE_SCALAR=<non-empty,
+// != "0"> pins the scalar table instead (CI matrix lane).
 //
-//   TORNADO_KERNEL_VARIANT=scalar|sse2|avx2   pin an exact variant
-//   TORNADO_FORCE_SCALAR=<non-empty, != "0">  pin scalar (CI matrix lane)
-//
-// Because every variant is bit-identical (docs/KERNELS.md), the override
+// Because both variants are bit-identical (docs/KERNELS.md), the override
 // is a performance knob, never a correctness one — which is exactly what
 // the dispatch-matrix test asserts.
 
@@ -14,14 +12,11 @@
 #include <cstdlib>
 #include <cstring>
 
-#include "common/logging.h"
-
 namespace tornado {
 namespace kernel {
 
 extern const KernelOps kScalarKernels;
 #if defined(__x86_64__) || defined(_M_X64)
-extern const KernelOps kSse2Kernels;
 extern const KernelOps kAvx2Kernels;
 #endif
 
@@ -31,18 +26,11 @@ bool HostSupports(KernelVariant v) {
   switch (v) {
     case KernelVariant::kScalar:
       return true;
-#if defined(__x86_64__) || defined(_M_X64)
-    case KernelVariant::kSse2:
-      return true;  // SSE2 is the x86-64 baseline
     case KernelVariant::kAvx2:
-#if defined(__GNUC__) || defined(__clang__)
+#if (defined(__x86_64__) || defined(_M_X64)) && \
+    (defined(__GNUC__) || defined(__clang__))
       return __builtin_cpu_supports("avx2") != 0;
 #else
-      return false;
-#endif
-#else
-    case KernelVariant::kSse2:
-    case KernelVariant::kAvx2:
       return false;
 #endif
   }
@@ -52,8 +40,6 @@ bool HostSupports(KernelVariant v) {
 const KernelOps* TableFor(KernelVariant v) {
   switch (v) {
 #if defined(__x86_64__) || defined(_M_X64)
-    case KernelVariant::kSse2:
-      return &kSse2Kernels;
     case KernelVariant::kAvx2:
       return &kAvx2Kernels;
 #endif
@@ -63,24 +49,11 @@ const KernelOps* TableFor(KernelVariant v) {
 }
 
 KernelVariant SelectFromEnv() {
-  const char* pin = std::getenv("TORNADO_KERNEL_VARIANT");
-  if (pin != nullptr) {
-    if (std::strcmp(pin, "scalar") == 0) return KernelVariant::kScalar;
-    if (std::strcmp(pin, "sse2") == 0 && HostSupports(KernelVariant::kSse2)) {
-      return KernelVariant::kSse2;
-    }
-    if (std::strcmp(pin, "avx2") == 0 && HostSupports(KernelVariant::kAvx2)) {
-      return KernelVariant::kAvx2;
-    }
-    TLOG_WARN << "TORNADO_KERNEL_VARIANT=" << pin
-                   << " unknown or unsupported on this host; auto-selecting";
-  }
   const char* force = std::getenv("TORNADO_FORCE_SCALAR");
   if (force != nullptr && force[0] != '\0' && std::strcmp(force, "0") != 0) {
     return KernelVariant::kScalar;
   }
   if (HostSupports(KernelVariant::kAvx2)) return KernelVariant::kAvx2;
-  if (HostSupports(KernelVariant::kSse2)) return KernelVariant::kSse2;
   return KernelVariant::kScalar;
 }
 
@@ -100,8 +73,6 @@ const char* KernelVariantName(KernelVariant v) {
   switch (v) {
     case KernelVariant::kScalar:
       return "scalar";
-    case KernelVariant::kSse2:
-      return "sse2";
     case KernelVariant::kAvx2:
       return "avx2";
   }
@@ -116,7 +87,6 @@ KernelVariant ActiveKernelVariant() {
 
 std::vector<KernelVariant> SupportedKernelVariants() {
   std::vector<KernelVariant> out = {KernelVariant::kScalar};
-  if (HostSupports(KernelVariant::kSse2)) out.push_back(KernelVariant::kSse2);
   if (HostSupports(KernelVariant::kAvx2)) out.push_back(KernelVariant::kAvx2);
   return out;
 }

@@ -8,8 +8,8 @@
 namespace tornado {
 namespace kernel {
 
-/// One batch-kernel vtable. Three instances exist per binary — scalar,
-/// SSE2, AVX2 — compiled from the same source (kernels_body.inc) against
+/// One batch-kernel vtable. Two instances exist per binary — scalar and
+/// AVX2 — compiled from the same source (kernels_body.inc) against
 /// the matching simd_vec.h level. Every entry is bit-identical across
 /// variants by the canonical-lane-order construction documented in
 /// docs/KERNELS.md, so switching variants can never change a result, only
@@ -45,20 +45,19 @@ struct KernelOps {
                    double reg, size_t n);
 };
 
-enum class KernelVariant : uint8_t { kScalar = 0, kSse2 = 1, kAvx2 = 2 };
+enum class KernelVariant : uint8_t { kScalar = 0, kAvx2 = 1 };
 
 const char* KernelVariantName(KernelVariant v);
 
-/// The active kernel table. Selected once at first use: highest CPUID
-/// level the host supports, unless TORNADO_FORCE_SCALAR is set (any
-/// non-empty value other than "0") or TORNADO_KERNEL_VARIANT names
-/// scalar/sse2/avx2 explicitly. Cheap enough to call per batch.
+/// The active kernel table. Selected once at first use: AVX2 when the
+/// host supports it, unless TORNADO_FORCE_SCALAR is set (any non-empty
+/// value other than "0"). Cheap enough to call per batch.
 const KernelOps& Kernels();
 
 KernelVariant ActiveKernelVariant();
 
-/// Variants the host can run: always kScalar; kSse2/kAvx2 when both the
-/// build and the CPU support them (dispatch-matrix tests iterate this).
+/// Variants the host can run: always kScalar; kAvx2 when both the build
+/// and the CPU support it (dispatch-matrix tests iterate this).
 std::vector<KernelVariant> SupportedKernelVariants();
 
 /// Forces the active variant (tests / benchmarks). Returns false — and

@@ -1,6 +1,6 @@
 // AVX2 kernel variant. Compiled with -mavx2 and -ffp-contract=off; only
 // ever selected after a CPUID check, so the binary stays runnable on
-// SSE2-only hosts. On non-x86 builds this TU compiles to nothing.
+// hosts without AVX2. On non-x86 builds this TU compiles to nothing.
 #if defined(__x86_64__) || defined(_M_X64)
 
 #define TORNADO_SIMD_LEVEL 2

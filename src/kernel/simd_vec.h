@@ -1,20 +1,19 @@
 #ifndef TORNADO_KERNEL_SIMD_VEC_H_
 #define TORNADO_KERNEL_SIMD_VEC_H_
 
-// Portable 8-lane double vector, compiled per-TU at one of three levels:
+// Portable 8-lane double vector, compiled per-TU at one of two levels:
 //
 //   TORNADO_SIMD_LEVEL 0  — scalar (double[8] loops)
-//   TORNADO_SIMD_LEVEL 1  — SSE2   (4 x __m128d)
 //   TORNADO_SIMD_LEVEL 2  — AVX2   (2 x __m256d)
 //
-// Each kernel variant TU (kernels_scalar.cc / kernels_sse2.cc /
-// kernels_avx2.cc) defines TORNADO_SIMD_LEVEL and TORNADO_SIMD_NS before
-// including this header, so every level gets its own namespace and there
+// Each kernel variant TU (kernels_scalar.cc / kernels_avx2.cc) defines
+// TORNADO_SIMD_LEVEL and TORNADO_SIMD_NS before including this header, so
+// every level gets its own namespace and there
 // is exactly one definition of each DVec8 per program. The active variant
 // is picked once at startup by kernel/dispatch.cc (CPUID, with the
 // TORNADO_FORCE_SCALAR override).
 //
-// Determinism contract (docs/KERNELS.md): all three levels perform the
+// Determinism contract (docs/KERNELS.md): both levels perform the
 // same IEEE-754 operations on the same lane assignment, so any
 // lane-by-lane computation — and any reduction that combines the eight
 // lane accumulators in the shared canonical tree — is bit-identical
@@ -29,10 +28,7 @@
 #define TORNADO_SIMD_NS vec_scalar
 #endif
 
-#if TORNADO_SIMD_LEVEL >= 1
-#include <emmintrin.h>
-#endif
-#if TORNADO_SIMD_LEVEL >= 2
+#if TORNADO_SIMD_LEVEL == 2
 #include <immintrin.h>
 #endif
 
@@ -78,54 +74,6 @@ struct DVec8 {
   }
   static DVec8 Min(DVec8 a, DVec8 b) {
     return {_mm256_min_pd(a.lo, b.lo), _mm256_min_pd(a.hi, b.hi)};
-  }
-};
-
-#elif TORNADO_SIMD_LEVEL == 1
-
-struct DVec8 {
-  __m128d v0;  // lanes 0..1
-  __m128d v1;  // lanes 2..3
-  __m128d v2;  // lanes 4..5
-  __m128d v3;  // lanes 6..7
-
-  static DVec8 Zero() {
-    const __m128d z = _mm_setzero_pd();
-    return {z, z, z, z};
-  }
-  static DVec8 Broadcast(double s) {
-    const __m128d b = _mm_set1_pd(s);
-    return {b, b, b, b};
-  }
-  static DVec8 Load(const double* p) {
-    return {_mm_loadu_pd(p), _mm_loadu_pd(p + 2), _mm_loadu_pd(p + 4),
-            _mm_loadu_pd(p + 6)};
-  }
-  void Store(double* p) const {
-    _mm_storeu_pd(p, v0);
-    _mm_storeu_pd(p + 2, v1);
-    _mm_storeu_pd(p + 4, v2);
-    _mm_storeu_pd(p + 6, v3);
-  }
-  friend DVec8 operator+(DVec8 a, DVec8 b) {
-    return {_mm_add_pd(a.v0, b.v0), _mm_add_pd(a.v1, b.v1),
-            _mm_add_pd(a.v2, b.v2), _mm_add_pd(a.v3, b.v3)};
-  }
-  friend DVec8 operator-(DVec8 a, DVec8 b) {
-    return {_mm_sub_pd(a.v0, b.v0), _mm_sub_pd(a.v1, b.v1),
-            _mm_sub_pd(a.v2, b.v2), _mm_sub_pd(a.v3, b.v3)};
-  }
-  friend DVec8 operator*(DVec8 a, DVec8 b) {
-    return {_mm_mul_pd(a.v0, b.v0), _mm_mul_pd(a.v1, b.v1),
-            _mm_mul_pd(a.v2, b.v2), _mm_mul_pd(a.v3, b.v3)};
-  }
-  friend DVec8 operator/(DVec8 a, DVec8 b) {
-    return {_mm_div_pd(a.v0, b.v0), _mm_div_pd(a.v1, b.v1),
-            _mm_div_pd(a.v2, b.v2), _mm_div_pd(a.v3, b.v3)};
-  }
-  static DVec8 Min(DVec8 a, DVec8 b) {
-    return {_mm_min_pd(a.v0, b.v0), _mm_min_pd(a.v1, b.v1),
-            _mm_min_pd(a.v2, b.v2), _mm_min_pd(a.v3, b.v3)};
   }
 };
 

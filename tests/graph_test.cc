@@ -98,20 +98,6 @@ TEST_P(DijkstraPropertyTest, MatchesBellmanFordOnRandomGraph) {
 INSTANTIATE_TEST_SUITE_P(Seeds, DijkstraPropertyTest,
                          ::testing::Range<uint64_t>(1, 11));
 
-TEST(DynamicGraphTest, PageRankSumsToVertexCount) {
-  // With dangling redistribution the normalized ranks sum to ~1.
-  Rng rng(3);
-  DynamicGraph graph;
-  for (int i = 0; i < 300; ++i) {
-    graph.Apply(
-        EdgeDelta{rng.NextUint64(50), rng.NextUint64(50), 1.0, true});
-  }
-  auto ranks = graph.PageRank(0.85, 1e-10, 500);
-  double sum = 0.0;
-  for (const auto& [v, r] : ranks) sum += r;
-  EXPECT_NEAR(sum, 1.0, 1e-6);
-}
-
 TEST(HashPartitionerTest, CoversAllPartitionsRoughlyEvenly) {
   HashPartitioner partitioner(8);
   std::vector<int> counts(8, 0);

@@ -130,7 +130,7 @@ const RuleInfo kRules[] = {
      "layer",
      "use kernel/flat_map.h / kernel/small_vector.h for kernel state; "
      "never compile with -ffast-math — the canonical reductions must stay "
-     "bit-identical across scalar/SSE2/AVX2"},
+     "bit-identical across scalar/AVX2"},
 };
 
 const RuleInfo* FindRule(const std::string& id) {
