@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cinttypes>
 #include <fstream>
-#include <sstream>
 
 namespace tornado {
 namespace bench {
@@ -18,19 +17,10 @@ double WallSeconds() {
       .count();
 }
 
-std::string JsonNum(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  return buf;
-}
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  return out;
+JsonValue ObjectOf(const std::map<std::string, JsonValue>& members) {
+  JsonValue object = JsonValue::MakeObject();
+  for (const auto& [key, value] : members) object.Add(key, value);
+  return object;
 }
 }  // namespace
 
@@ -53,34 +43,32 @@ BenchJson::BenchJson(std::string bench)
     : bench_(std::move(bench)), start_wall_(WallSeconds()) {}
 
 void BenchJson::AddKnob(const std::string& key, double value) {
-  knobs_[key] = value;
+  knobs_[key] = JsonValue::Of(value);
 }
 
 void BenchJson::AddKnob(const std::string& key, const std::string& value) {
-  string_knobs_[key] = value;
+  knobs_[key] = JsonValue::Of(value);
 }
 
 void BenchJson::AddResult(const std::string& key, double value) {
-  results_[key] = value;
+  results_[key] = JsonValue::Of(value);
 }
 
 void BenchJson::AddHistogram(const std::string& key,
                              const Histogram& histogram) {
-  HistogramRow row;
-  row.count = histogram.count();
-  if (row.count > 0) {
-    row.min = histogram.min();
-    row.max = histogram.max();
-    row.mean = histogram.Mean();
-    row.p50 = histogram.Percentile(50.0);
-    row.p95 = histogram.Percentile(95.0);
-  }
-  histograms_[key] = row;
+  JsonValue row = JsonValue::MakeObject();
+  row.Add("count", JsonValue::Of(static_cast<double>(histogram.count())));
+  row.Add("min", JsonValue::Of(histogram.min()));
+  row.Add("max", JsonValue::Of(histogram.max()));
+  row.Add("mean", JsonValue::Of(histogram.Mean()));
+  row.Add("p50", JsonValue::Of(histogram.Percentile(50.0)));
+  row.Add("p95", JsonValue::Of(histogram.Percentile(95.0)));
+  histograms_[key] = std::move(row);
 }
 
 void BenchJson::AddMetrics(const MetricRegistry& metrics) {
   for (const auto& [name, value] : metrics.counters()) {
-    counters_[name] = value;
+    counters_[name] = JsonValue::Of(static_cast<double>(value));
   }
   for (const auto& [name, hist] : metrics.histograms()) {
     if (hist.count() > 0) AddHistogram(name, hist);
@@ -88,50 +76,15 @@ void BenchJson::AddMetrics(const MetricRegistry& metrics) {
 }
 
 std::string BenchJson::ToJson() const {
-  std::ostringstream os;
-  os << "{\"bench\":\"" << JsonEscape(bench_) << "\",\n";
-  os << " \"knobs\":{";
-  bool first = true;
-  for (const auto& [key, value] : string_knobs_) {
-    os << (first ? "" : ",") << "\"" << JsonEscape(key) << "\":\""
-       << JsonEscape(value) << "\"";
-    first = false;
-  }
-  for (const auto& [key, value] : knobs_) {
-    os << (first ? "" : ",") << "\"" << JsonEscape(key)
-       << "\":" << JsonNum(value);
-    first = false;
-  }
-  os << "},\n";
-  os << " \"wall_seconds\":" << JsonNum(WallSeconds() - start_wall_) << ",\n";
-  os << " \"virtual_seconds\":" << JsonNum(virtual_seconds_) << ",\n";
-  os << " \"counters\":{";
-  first = true;
-  for (const auto& [name, value] : counters_) {
-    os << (first ? "" : ",") << "\"" << JsonEscape(name) << "\":" << value;
-    first = false;
-  }
-  os << "},\n";
-  os << " \"histograms\":{";
-  first = true;
-  for (const auto& [name, row] : histograms_) {
-    os << (first ? "" : ",") << "\"" << JsonEscape(name)
-       << "\":{\"count\":" << row.count << ",\"min\":" << JsonNum(row.min)
-       << ",\"max\":" << JsonNum(row.max) << ",\"mean\":" << JsonNum(row.mean)
-       << ",\"p50\":" << JsonNum(row.p50) << ",\"p95\":" << JsonNum(row.p95)
-       << "}";
-    first = false;
-  }
-  os << "},\n";
-  os << " \"results\":{";
-  first = true;
-  for (const auto& [key, value] : results_) {
-    os << (first ? "" : ",") << "\"" << JsonEscape(key)
-       << "\":" << JsonNum(value);
-    first = false;
-  }
-  os << "}}\n";
-  return os.str();
+  JsonValue root = JsonValue::MakeObject();
+  root.Add("bench", JsonValue::Of(bench_));
+  root.Add("knobs", ObjectOf(knobs_));
+  root.Add("wall_seconds", JsonValue::Of(WallSeconds() - start_wall_));
+  root.Add("virtual_seconds", JsonValue::Of(virtual_seconds_));
+  root.Add("counters", ObjectOf(counters_));
+  root.Add("histograms", ObjectOf(histograms_));
+  root.Add("results", ObjectOf(results_));
+  return JsonWrite(root) + "\n";
 }
 
 bool BenchJson::WriteFile(const std::string& path) const {
@@ -188,114 +141,6 @@ void PrintHeader(const std::string& title, const std::string& paper_ref) {
   std::printf("\n=== %s ===\n", title.c_str());
   std::printf("(reproduces %s of Shi et al., SIGMOD'16)\n\n",
               paper_ref.c_str());
-}
-
-GraphStreamOptions BenchGraph(uint64_t tuples, uint64_t seed) {
-  GraphStreamOptions options;
-  options.num_vertices = tuples / 4;
-  options.num_tuples = tuples;
-  options.preferential = 0.6;
-  options.deletion_ratio = 0.04;
-  options.source_hub_weight = 40;  // vertex 0 is the SSSP source
-  options.seed = seed;
-  return options;
-}
-
-PointStreamOptions BenchPoints(uint64_t tuples, uint64_t seed) {
-  PointStreamOptions options;
-  options.dimensions = 20;
-  options.num_clusters = 10;
-  options.num_tuples = tuples;
-  options.cluster_spread = 2.0;
-  options.space_extent = 100.0;
-  options.seed = seed;
-  return options;
-}
-
-InstanceStreamOptions BenchDense(uint64_t tuples, uint64_t seed) {
-  InstanceStreamOptions options;
-  options.dimensions = 28;  // HIGGS-like
-  options.num_tuples = tuples;
-  options.label_noise = 0.05;
-  options.concept_drift = 1e-4;
-  options.seed = seed;
-  return options;
-}
-
-InstanceStreamOptions BenchSparse(uint64_t tuples, uint64_t seed) {
-  InstanceStreamOptions options;
-  options.dimensions = 400;  // PubMed-like bag-of-words, scaled down
-  options.num_tuples = tuples;
-  options.sparse = true;
-  options.sparsity_nnz = 40;
-  options.zipf_exponent = 1.1;
-  options.label_noise = 0.05;
-  options.concept_drift = 1e-4;
-  options.seed = seed;
-  return options;
-}
-
-namespace {
-JobConfig BaseConfig(uint64_t delay_bound) {
-  JobConfig config;
-  config.delay_bound = delay_bound;
-  config.num_processors = 8;
-  config.num_hosts = 4;
-  config.ingest_rate = 10000.0;
-  config.ingest_batch = 10;
-  config.seed = 1;
-  return config;
-}
-}  // namespace
-
-JobConfig SsspJob(uint64_t delay_bound, bool batch_mode) {
-  JobConfig config = BaseConfig(delay_bound);
-  config.program =
-      std::make_shared<SsspProgram>(kBenchSsspSource, batch_mode);
-  return config;
-}
-
-JobConfig PageRankJob(uint64_t delay_bound) {
-  JobConfig config = BaseConfig(delay_bound);
-  config.program = std::make_shared<PageRankProgram>(0.85, 1e-3);
-  return config;
-}
-
-JobConfig KMeansJob(uint64_t delay_bound) {
-  JobConfig config = BaseConfig(delay_bound);
-  KMeansOptions kmeans;
-  kmeans.num_clusters = 10;
-  kmeans.num_shards = 8;
-  kmeans.dimensions = 20;
-  kmeans.move_tolerance = 1e-2;
-  config.program = std::make_shared<KMeansProgram>(kmeans);
-  config.router = KMeansProgram::MakeRouter(kmeans);
-  config.convergence.epsilon = 1e-2;
-  config.convergence.window = 2;
-  config.convergence.max_iterations = 400;
-  return config;
-}
-
-JobConfig SgdJob(SgdLoss loss, uint64_t delay_bound, double descent_rate,
-                 DescentSchedule schedule, bool batch_mode,
-                 double sample_ratio) {
-  JobConfig config = BaseConfig(delay_bound);
-  SgdOptions sgd;
-  sgd.loss = loss;
-  sgd.num_shards = 8;
-  sgd.dimensions = loss == SgdLoss::kSvmHinge ? 28 : 400;
-  sgd.sample_ratio = sample_ratio;
-  sgd.reservoir_capacity = 1500;
-  sgd.schedule = schedule;
-  sgd.descent_rate = descent_rate;
-  sgd.batch_mode = batch_mode;
-  config.program = std::make_shared<SgdProgram>(sgd);
-  config.router = SgdProgram::MakeRouter(sgd);
-  config.convergence.quiescence = true;
-  config.convergence.epsilon = 1e-4;
-  config.convergence.window = 4;
-  config.convergence.max_iterations = 3000;
-  return config;
 }
 
 double MeasureQueryLatency(TornadoCluster& cluster, double timeout) {

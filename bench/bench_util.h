@@ -14,7 +14,9 @@
 #include "algos/pagerank.h"
 #include "algos/sgd.h"
 #include "algos/sssp.h"
+#include "algos/workloads.h"
 #include "common/histogram.h"
+#include "common/json.h"
 #include "core/cluster.h"
 #include "stream/graph_stream.h"
 #include "stream/instance_stream.h"
@@ -41,23 +43,16 @@ class Table {
 
 void PrintHeader(const std::string& title, const std::string& paper_ref);
 
-/// Canonical workload scales used across the benches. These are the
-/// scaled-down stand-ins for the paper's datasets (Table 1); DESIGN.md
-/// documents the substitution.
-GraphStreamOptions BenchGraph(uint64_t tuples = 40000, uint64_t seed = 42);
-PointStreamOptions BenchPoints(uint64_t tuples = 20000, uint64_t seed = 7);
-InstanceStreamOptions BenchDense(uint64_t tuples = 20000, uint64_t seed = 13);
-InstanceStreamOptions BenchSparse(uint64_t tuples = 20000, uint64_t seed = 13);
-
-inline constexpr VertexId kBenchSsspSource = 0;
-
-/// Job configurations wired to the canonical workloads.
-JobConfig SsspJob(uint64_t delay_bound, bool batch_mode = false);
-JobConfig PageRankJob(uint64_t delay_bound);
-JobConfig KMeansJob(uint64_t delay_bound);
-JobConfig SgdJob(SgdLoss loss, uint64_t delay_bound, double descent_rate,
-                 DescentSchedule schedule = DescentSchedule::kStatic,
-                 bool batch_mode = false, double sample_ratio = 0.01);
+/// The paper workloads (algos/workloads.h), re-exported for the benches.
+using tornado::BenchDense;
+using tornado::BenchGraph;
+using tornado::BenchPoints;
+using tornado::BenchSparse;
+using tornado::KMeansJob;
+using tornado::kBenchSsspSource;
+using tornado::PageRankJob;
+using tornado::SgdJob;
+using tornado::SsspJob;
 
 /// Runs the cluster until `count` tuples are ingested, then submits a
 /// query and returns its latency (virtual seconds), or -1 on timeout.
@@ -80,7 +75,7 @@ struct BenchArgs {
 BenchArgs ParseBenchArgs(int argc, char** argv);
 
 /// Accumulates one bench run's machine-readable result and writes it as a
-/// single JSON object:
+/// single JSON object (common/json.h), with keys in this order:
 ///
 ///   {"bench": "...", "knobs": {...}, "wall_seconds": W,
 ///    "virtual_seconds": V, "counters": {...},
@@ -89,10 +84,10 @@ BenchArgs ParseBenchArgs(int argc, char** argv);
 ///    "results": {...}}
 ///
 /// Knobs are the configuration the run was parameterized by, results the
-/// measured outputs; both are flat string->number maps (plus string-valued
-/// knobs). Wall time is stamped at WriteFile; virtual time, counters and
-/// histograms are whatever the bench recorded. Schema documented in
-/// docs/OBSERVABILITY.md.
+/// measured outputs; both are flat maps sorted by key (knob values are
+/// numbers or strings). Wall time is stamped at ToJson; virtual time,
+/// counters and histograms are whatever the bench recorded. Schema
+/// documented in docs/OBSERVABILITY.md.
 class BenchJson {
  public:
   explicit BenchJson(std::string bench);
@@ -110,19 +105,13 @@ class BenchJson {
   bool WriteFile(const std::string& path) const;
 
  private:
-  struct HistogramRow {
-    uint64_t count = 0;
-    double min = 0.0, max = 0.0, mean = 0.0, p50 = 0.0, p95 = 0.0;
-  };
-
   std::string bench_;
   double start_wall_;  // seconds, process clock
   double virtual_seconds_ = 0.0;
-  std::map<std::string, double> knobs_;
-  std::map<std::string, std::string> string_knobs_;
-  std::map<std::string, double> results_;
-  std::map<std::string, int64_t> counters_;
-  std::map<std::string, HistogramRow> histograms_;
+  std::map<std::string, JsonValue> knobs_;
+  std::map<std::string, JsonValue> results_;
+  std::map<std::string, JsonValue> counters_;
+  std::map<std::string, JsonValue> histograms_;
 };
 
 /// Factory for the (identically-seeded) input stream of one run.

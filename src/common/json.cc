@@ -1,4 +1,4 @@
-#include "scenario/json.h"
+#include "common/json.h"
 
 #include <cctype>
 #include <cmath>
@@ -7,7 +7,6 @@
 #include <sstream>
 
 namespace tornado {
-namespace scenario {
 
 const JsonValue* JsonValue::Find(const std::string& key) const {
   if (type != Type::kObject) return nullptr;
@@ -286,39 +285,6 @@ class Parser {
   size_t pos_ = 0;
 };
 
-void AppendEscaped(const std::string& s, std::string* out) {
-  out->push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      case '\t':
-        *out += "\\t";
-        break;
-      case '\r':
-        *out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(c) & 0xFF);
-          *out += buf;
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
-}
-
 void AppendNumber(double v, std::string* out) {
   // Integers (the common case: counts, seeds, node indexes) print without
   // an exponent or decimal point so scenario files stay diff-friendly.
@@ -356,7 +322,7 @@ void WriteValue(const JsonValue& v, int depth, std::string* out) {
       AppendNumber(v.number, out);
       return;
     case JsonValue::Type::kString:
-      AppendEscaped(v.string_value, out);
+      *out += JsonQuote(v.string_value);
       return;
     case JsonValue::Type::kArray: {
       if (v.array.empty()) {
@@ -381,7 +347,7 @@ void WriteValue(const JsonValue& v, int depth, std::string* out) {
       *out += "{\n";
       for (size_t i = 0; i < v.object.size(); ++i) {
         *out += inner;
-        AppendEscaped(v.object[i].first, out);
+        *out += JsonQuote(v.object[i].first);
         *out += ": ";
         WriteValue(v.object[i].second, depth + 1, out);
         if (i + 1 < v.object.size()) *out += ",";
@@ -408,5 +374,40 @@ std::string JsonWrite(const JsonValue& value) {
   return out;
 }
 
-}  // namespace scenario
+std::string JsonQuote(const std::string& s) {
+  std::string out;
+  out.reserve(s.size() + 2);
+  out.push_back('"');
+  for (char c : s) {
+    switch (c) {
+      case '"':
+        out += "\\\"";
+        break;
+      case '\\':
+        out += "\\\\";
+        break;
+      case '\n':
+        out += "\\n";
+        break;
+      case '\t':
+        out += "\\t";
+        break;
+      case '\r':
+        out += "\\r";
+        break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x",
+                        static_cast<unsigned>(c) & 0xFF);
+          out += buf;
+        } else {
+          out.push_back(c);
+        }
+    }
+  }
+  out.push_back('"');
+  return out;
+}
+
 }  // namespace tornado

@@ -1,5 +1,5 @@
-#ifndef TORNADO_SCENARIO_JSON_H_
-#define TORNADO_SCENARIO_JSON_H_
+#ifndef TORNADO_COMMON_JSON_H_
+#define TORNADO_COMMON_JSON_H_
 
 #include <cstdint>
 #include <string>
@@ -7,14 +7,14 @@
 #include <vector>
 
 namespace tornado {
-namespace scenario {
 
-/// Minimal JSON document model for the scenario subsystem: hand-rolled
-/// (the repo takes no third-party dependencies), strict (no comments, no
-/// trailing commas, no NaN/Inf), and order-preserving so a parsed
-/// scenario round-trips through ScenarioToJson in a stable field order.
-/// Numbers are held as doubles — scenario integers (tuple counts, seeds)
-/// stay well inside the 2^53 exact range.
+/// The repo's one JSON codec: scenario files, bench results and trace
+/// summaries all go through it. Hand-rolled (the repo takes no third-party
+/// dependencies), strict (no comments, no trailing commas, no NaN/Inf),
+/// and order-preserving so a parsed scenario round-trips through
+/// ScenarioToJson in a stable field order. Numbers are held as doubles —
+/// the integers it carries (tuple counts, seeds, counters, trace ids) stay
+/// well inside the 2^53 exact range.
 struct JsonValue {
   enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
 
@@ -76,7 +76,11 @@ bool JsonParse(const std::string& text, JsonValue* out, std::string* error);
 /// line ends, no trailing newline).
 std::string JsonWrite(const JsonValue& value);
 
-}  // namespace scenario
+/// `s` as a quoted JSON string literal: `"` and `\` backslash-escaped,
+/// control characters as \n, \t, \r or \u00XX. JsonWrite and the
+/// streaming trace writer (trace/trace_recorder.cc) both quote with it.
+std::string JsonQuote(const std::string& s);
+
 }  // namespace tornado
 
-#endif  // TORNADO_SCENARIO_JSON_H_
+#endif  // TORNADO_COMMON_JSON_H_

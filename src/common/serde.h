@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <cstring>
-#include <string>
 #include <vector>
 
 #include "common/status.h"
@@ -18,7 +17,6 @@ class BufferWriter {
   void PutU8(uint8_t v) { buf_.push_back(v); }
   void PutU32(uint32_t v) { PutRaw(&v, sizeof(v)); }
   void PutU64(uint64_t v) { PutRaw(&v, sizeof(v)); }
-  void PutI64(int64_t v) { PutRaw(&v, sizeof(v)); }
   void PutDouble(double v) { PutRaw(&v, sizeof(v)); }
 
   /// LEB128 variable-length unsigned integer. Values below 128 (counts,
@@ -29,11 +27,6 @@ class BufferWriter {
       return;
     }
     PutVarintSlow(v);
-  }
-
-  void PutString(const std::string& s) {
-    PutVarint(s.size());
-    PutRaw(s.data(), s.size());
   }
 
   /// Length, then the doubles in one copy (the same bytes as one
@@ -74,10 +67,8 @@ class BufferReader {
   Status GetU8(uint8_t* out);
   Status GetU32(uint32_t* out) { return GetRaw(out, sizeof(*out)); }
   Status GetU64(uint64_t* out) { return GetRaw(out, sizeof(*out)); }
-  Status GetI64(int64_t* out) { return GetRaw(out, sizeof(*out)); }
   Status GetDouble(double* out) { return GetRaw(out, sizeof(*out)); }
   Status GetVarint(uint64_t* out);
-  Status GetString(std::string* out);
   Status GetDoubleVec(std::vector<double>* out);
   Status GetU64Vec(std::vector<uint64_t>* out);
 

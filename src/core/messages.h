@@ -52,8 +52,7 @@ struct InputMsg : Payload {
 // Causal tracing: the engine stamps Payload::cause_id (see net/payload.h)
 // with one fresh round id per prepare fanout. PrepareMsg, the AckMsgs that
 // answer it, and the UpdateMsg scatter of the commit it enabled share that
-// id; the serde envelope carries it on the wire. All other messages leave
-// cause_id at 0.
+// id. All other messages leave cause_id at 0.
 // ---------------------------------------------------------------------------
 
 /// Commit-phase message: the producer's new value and iteration number.

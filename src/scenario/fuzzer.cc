@@ -7,7 +7,7 @@
 #include <utility>
 
 #include "runtime/substrate.h"
-#include "scenario/json.h"
+#include "common/json.h"
 #include "sim/cost_model.h"
 
 namespace tornado {

@@ -3,15 +3,9 @@
 #include <algorithm>
 #include <utility>
 
-#include "algos/kmeans.h"
-#include "algos/pagerank.h"
-#include "algos/sgd.h"
-#include "algos/sssp.h"
+#include "algos/workloads.h"
 #include "common/logging.h"
 #include "common/metrics.h"
-#include "stream/graph_stream.h"
-#include "stream/instance_stream.h"
-#include "stream/point_stream.h"
 
 namespace tornado {
 namespace scenario {
@@ -22,104 +16,47 @@ namespace {
 /// RunFor sums; far below any meaningful virtual-time scale.
 constexpr double kTimeEps = 1e-12;
 
-/// The canonical bench workload shapes (bench/bench_util.cc BenchGraph /
-/// BenchPoints / BenchDense / BenchSparse), restated here so a scenario
-/// with the figure constants drives a byte-identical run. Only the tuple
-/// count and stream seed are scenario knobs; the generator shape is part
-/// of the workload's identity.
-GraphStreamOptions ScenarioGraph(const ScenarioWorkload& w) {
-  GraphStreamOptions options;
-  options.num_vertices = w.tuples / 4;
-  options.num_tuples = w.tuples;
-  options.preferential = 0.6;
-  options.deletion_ratio = 0.04;
-  options.source_hub_weight = 40;  // vertex 0 is the SSSP source
-  options.seed = w.stream_seed;
-  return options;
-}
-
-PointStreamOptions ScenarioPoints(const ScenarioWorkload& w) {
-  PointStreamOptions options;
-  options.dimensions = 20;
-  options.num_clusters = 10;
-  options.num_tuples = w.tuples;
-  options.cluster_spread = 2.0;
-  options.space_extent = 100.0;
-  options.seed = w.stream_seed;
-  return options;
-}
-
-InstanceStreamOptions ScenarioDense(const ScenarioWorkload& w) {
-  InstanceStreamOptions options;
-  options.dimensions = 28;
-  options.num_tuples = w.tuples;
-  options.label_noise = 0.05;
-  options.concept_drift = 1e-4;
-  options.seed = w.stream_seed;
-  return options;
-}
-
-InstanceStreamOptions ScenarioSparse(const ScenarioWorkload& w) {
-  InstanceStreamOptions options;
-  options.dimensions = 400;
-  options.num_tuples = w.tuples;
-  options.sparse = true;
-  options.sparsity_nnz = 40;
-  options.zipf_exponent = 1.1;
-  options.label_noise = 0.05;
-  options.concept_drift = 1e-4;
-  options.seed = w.stream_seed;
-  return options;
-}
-
 /// Installs the program, router, convergence policy and stream for the
-/// scenario's workload kind (mirroring bench_util's job builders).
+/// scenario's workload kind: the paper workload of algos/workloads.h, with
+/// the scenario's tuple count and stream seed and one data shard per
+/// processor. The generator shape is part of the workload's identity.
 std::unique_ptr<StreamSource> BuildWorkload(const Scenario& s,
                                             JobConfig* config) {
+  using Kind = ScenarioWorkload::Kind;
   const ScenarioWorkload& w = s.workload;
+  const uint64_t bound = config->delay_bound;
+  const uint32_t shards = s.cluster.processors;
+  JobConfig job;
+  std::unique_ptr<StreamSource> stream;
   switch (w.kind) {
-    case ScenarioWorkload::Kind::kSssp:
-      config->program =
-          std::make_shared<SsspProgram>(VertexId{0}, w.batch_mode);
-      return std::make_unique<GraphStream>(ScenarioGraph(w));
-    case ScenarioWorkload::Kind::kPageRank:
-      config->program = std::make_shared<PageRankProgram>(0.85, 1e-3);
-      return std::make_unique<GraphStream>(ScenarioGraph(w));
-    case ScenarioWorkload::Kind::kKMeans: {
-      KMeansOptions kmeans;
-      kmeans.num_clusters = 10;
-      kmeans.num_shards = s.cluster.processors;
-      kmeans.dimensions = 20;
-      kmeans.move_tolerance = 1e-2;
-      config->program = std::make_shared<KMeansProgram>(kmeans);
-      config->router = KMeansProgram::MakeRouter(kmeans);
-      config->convergence.epsilon = 1e-2;
-      config->convergence.window = 2;
-      config->convergence.max_iterations = 400;
-      return std::make_unique<PointStream>(ScenarioPoints(w));
-    }
-    case ScenarioWorkload::Kind::kSgdSvm:
-    case ScenarioWorkload::Kind::kSgdLr: {
-      const bool svm = w.kind == ScenarioWorkload::Kind::kSgdSvm;
-      SgdOptions sgd;
-      sgd.loss = svm ? SgdLoss::kSvmHinge : SgdLoss::kLogistic;
-      sgd.num_shards = s.cluster.processors;
-      sgd.dimensions = svm ? 28 : 400;
-      sgd.sample_ratio = 0.01;
-      sgd.reservoir_capacity = 1500;
-      sgd.descent_rate = 0.05;
-      sgd.batch_mode = w.batch_mode;
-      config->program = std::make_shared<SgdProgram>(sgd);
-      config->router = SgdProgram::MakeRouter(sgd);
-      config->convergence.quiescence = true;
-      config->convergence.epsilon = 1e-4;
-      config->convergence.window = 4;
-      config->convergence.max_iterations = 3000;
-      return std::make_unique<InstanceStream>(svm ? ScenarioDense(w)
-                                                  : ScenarioSparse(w));
+    case Kind::kSssp:
+    case Kind::kPageRank:
+      job = w.kind == Kind::kSssp ? SsspJob(bound, w.batch_mode)
+                                  : PageRankJob(bound);
+      stream =
+          std::make_unique<GraphStream>(BenchGraph(w.tuples, w.stream_seed));
+      break;
+    case Kind::kKMeans:
+      job = KMeansJob(bound, shards);
+      stream =
+          std::make_unique<PointStream>(BenchPoints(w.tuples, w.stream_seed));
+      break;
+    case Kind::kSgdSvm:
+    case Kind::kSgdLr: {
+      const bool svm = w.kind == Kind::kSgdSvm;
+      job = SgdJob(svm ? SgdLoss::kSvmHinge : SgdLoss::kLogistic, bound,
+                   /*descent_rate=*/0.05, DescentSchedule::kStatic,
+                   w.batch_mode, /*sample_ratio=*/0.01, shards);
+      stream = std::make_unique<InstanceStream>(
+          svm ? BenchDense(w.tuples, w.stream_seed)
+              : BenchSparse(w.tuples, w.stream_seed));
+      break;
     }
   }
-  return nullptr;
+  config->program = std::move(job.program);
+  config->router = std::move(job.router);
+  config->convergence = job.convergence;
+  return stream;
 }
 
 }  // namespace

@@ -8,7 +8,7 @@
 
 #include "core/config.h"
 #include "net/payload.h"
-#include "scenario/json.h"
+#include "common/json.h"
 
 namespace tornado {
 namespace scenario {

@@ -1,46 +1,43 @@
 #include "trace/report.h"
 
 #include <algorithm>
+#include <cctype>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <istream>
 #include <sstream>
 #include <utility>
 
+#include "common/json.h"
+
 namespace tornado {
 
 namespace {
 
-// --- Minimal field extraction over the writer's one-event-per-line JSON.
-// The recorder controls the format (no nesting beyond "args", stable key
-// order), so targeted string scans beat a general JSON parser here.
-
-bool ExtractString(const std::string& line, const std::string& key,
-                   std::string* out) {
-  const std::string needle = "\"" + key + "\":\"";
-  const size_t pos = line.find(needle);
-  if (pos == std::string::npos) return false;
-  const size_t begin = pos + needle.size();
-  const size_t end = line.find('"', begin);
-  if (end == std::string::npos) return false;
-  *out = line.substr(begin, end - begin);
-  return true;
+// WriteChromeTrace puts one event object on each line, so a line less its
+// trailing comma is one JSON document. The array brackets and anything
+// hand-edited into something else fail to parse and are skipped.
+bool ParseEventLine(const std::string& line, JsonValue* event) {
+  size_t end = line.size();
+  while (end > 0 && (line[end - 1] == ',' ||
+                     std::isspace(static_cast<unsigned char>(line[end - 1])))) {
+    --end;
+  }
+  return JsonParse(line.substr(0, end), event, nullptr) && event->is_object();
 }
 
-bool ExtractNumber(const std::string& line, const std::string& key,
-                   double* out) {
-  const std::string needle = "\"" + key + "\":";
-  const size_t pos = line.find(needle);
-  if (pos == std::string::npos) return false;
-  *out = std::strtod(line.c_str() + pos + needle.size(), nullptr);
-  return true;
+std::string StringField(const JsonValue& object, const char* key) {
+  const JsonValue* v = object.Find(key);
+  return v != nullptr && v->is_string() ? v->string_value : std::string();
 }
 
-uint64_t ExtractU64(const std::string& line, const std::string& key) {
-  double value = 0.0;
-  ExtractNumber(line, key, &value);
-  return static_cast<uint64_t>(value);
+double NumberField(const JsonValue& object, const char* key) {
+  const JsonValue* v = object.Find(key);
+  return v != nullptr && v->is_number() ? v->number : 0.0;
+}
+
+uint64_t U64Field(const JsonValue& object, const char* key) {
+  return static_cast<uint64_t>(NumberField(object, key));
 }
 
 std::string Seconds(double s) {
@@ -63,25 +60,30 @@ TraceSummary SummarizeChromeTrace(std::istream& in) {
   bool first_event = true;
 
   std::string line;
+  JsonValue event;
+  const JsonValue no_args;
   while (std::getline(in, line)) {
-    std::string ph, name;
-    if (!ExtractString(line, "ph", &ph) || ph == "M") continue;
-    if (!ExtractString(line, "name", &name)) continue;
-    double ts_us = 0.0;
-    if (!ExtractNumber(line, "ts", &ts_us)) continue;
-    const double ts = ts_us / 1e6;
+    if (!ParseEventLine(line, &event)) continue;
+    const std::string ph = StringField(event, "ph");
+    const std::string name = StringField(event, "name");
+    const JsonValue* ts_us = event.Find("ts");
+    if (ph.empty() || ph == "M" || name.empty() || ts_us == nullptr ||
+        !ts_us->is_number()) {
+      continue;
+    }
+    const double ts = ts_us->number / 1e6;
+    const JsonValue* args = event.Find("args");
+    if (args == nullptr) args = &no_args;
 
     ++summary.total_events;
     if (first_event || ts < summary.first_ts) summary.first_ts = ts;
     if (first_event || ts > summary.last_ts) summary.last_ts = ts;
     first_event = false;
 
-    std::string cat;
-    ExtractString(line, "cat", &cat);
+    const std::string cat = StringField(event, "cat");
 
     if (ph == "X") {
-      double dur_us = 0.0;
-      ExtractNumber(line, "dur", &dur_us);
+      const double dur_us = NumberField(event, "dur");
       if (cat == "net") {
         ++summary.messages[name];
       } else {
@@ -90,26 +92,26 @@ TraceSummary SummarizeChromeTrace(std::istream& in) {
         stat.total_seconds += dur_us / 1e6;
       }
       if (name == "blocked_at_bound") {
-        const uint64_t loop = ExtractU64(line, "loop");
-        const uint64_t vertex = ExtractU64(line, "vertex");
+        const uint64_t loop = U64Field(*args, "loop");
+        const uint64_t vertex = U64Field(*args, "vertex");
         TraceSummary::StallEntry& entry = stalls[{loop, vertex}];
         entry.loop = loop;
         entry.vertex = vertex;
         ++entry.intervals;
-        entry.updates += ExtractU64(line, "updates");
+        entry.updates += U64Field(*args, "updates");
         entry.total_seconds += dur_us / 1e6;
       }
     } else if (ph == "i") {
       ++summary.instants[name];
       if (name == "commit") {
-        commits.push_back(CommitPoint{ts, ExtractU64(line, "tid")});
+        commits.push_back(CommitPoint{ts, U64Field(event, "tid")});
       } else if (name == "node_killed") {
         TraceSummary::RecoveryEvent ev;
-        ev.node = ExtractU64(line, "node");
+        ev.node = U64Field(*args, "node");
         ev.killed_ts = ts;
         summary.recoveries.push_back(ev);
       } else if (name == "node_recovered") {
-        const uint64_t node = ExtractU64(line, "node");
+        const uint64_t node = U64Field(*args, "node");
         // Close the most recent open kill of this node.
         for (auto it = summary.recoveries.rbegin();
              it != summary.recoveries.rend(); ++it) {

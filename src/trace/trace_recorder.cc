@@ -6,6 +6,8 @@
 #include <ostream>
 #include <utility>
 
+#include "common/json.h"
+
 namespace tornado {
 
 namespace {
@@ -22,32 +24,6 @@ std::string Number(double value) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.6g", value);
   return buf;
-}
-
-/// JSON string escaping for the few dynamic names (track labels, counter
-/// series); event names are controlled literals but escape uniformly.
-std::string Escaped(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) >= 0x20) out += c;
-    }
-  }
-  return out;
 }
 
 void WriteArgs(std::ostream& os, const TraceArgs& args) {
@@ -145,7 +121,7 @@ void TraceRecorder::WriteChromeTrace(std::ostream& os) const {
   for (const auto& [track, name] : track_names_) {
     if (!first) os << ",\n";
     os << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":" << track
-       << ",\"args\":{\"name\":\"" << Escaped(name) << "\"}}";
+       << ",\"args\":{\"name\":" << JsonQuote(name) << "}}";
     first = false;
   }
   // Export order: (record time, track, record order). The track breaks
@@ -164,7 +140,7 @@ void TraceRecorder::WriteChromeTrace(std::ostream& os) const {
     const TraceEvent& ev = events_[index];
     if (!first) os << ",\n";
     first = false;
-    os << "{\"name\":\"" << Escaped(ev.name) << "\",\"cat\":\"" << ev.cat
+    os << "{\"name\":" << JsonQuote(ev.name) << ",\"cat\":\"" << ev.cat
        << "\",\"ph\":\"" << ev.ph << "\",\"ts\":" << Micros(ev.ts);
     switch (ev.ph) {
       case 'X':

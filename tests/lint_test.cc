@@ -67,8 +67,8 @@ TEST(LintTest, EveryRuleFiresOnItsFixture) {
   const LintRun run = RunLint("--json " + Fixtures());
   ASSERT_EQ(run.exit_code, 1) << run.output;
   for (const char* rule :
-       {"DET-001", "DET-002", "DET-003", "DET-004", "SER-001", "RUN-001",
-        "CON-001", "CON-002", "CON-003", "KER-001"}) {
+       {"DET-001", "DET-002", "DET-003", "DET-004", "RUN-001", "CON-001",
+        "CON-002", "CON-003", "KER-001"}) {
     EXPECT_GE(CountFindings(run.output, rule, /*suppressed=*/false), 1)
         << rule << " did not fire:\n" << run.output;
   }
@@ -106,8 +106,8 @@ TEST(LintTest, ConFixturesAreRulePure) {
     EXPECT_GE(CountFindings(run.output, c.rule, /*suppressed=*/false), 1)
         << c.file << ":\n" << run.output;
     for (const char* other : {"DET-001", "DET-002", "DET-003", "DET-004",
-                              "SER-001", "RUN-001", "CON-001", "CON-002",
-                              "CON-003", "KER-001"}) {
+                              "RUN-001", "CON-001", "CON-002", "CON-003",
+                              "KER-001"}) {
       if (std::string(other) == c.rule) continue;
       EXPECT_EQ(CountFindings(run.output, other, /*suppressed=*/false), 0)
           << c.file << " unexpectedly fired " << other << ":\n"
@@ -186,19 +186,6 @@ TEST(LintTest, NolintWithoutReasonDoesNotSuppress) {
   const LintRun run = RunLint("--json " + Fixtures("bad/det001_clock.cc"));
   ASSERT_EQ(run.exit_code, 1) << run.output;
   EXPECT_NE(run.output.find("carries no reason"), std::string::npos)
-      << run.output;
-}
-
-TEST(LintTest, SerRuleNamesTheOrphanStruct) {
-  const LintRun run = RunLint("--json " + Fixtures("ser"));
-  ASSERT_EQ(run.exit_code, 1) << run.output;
-  EXPECT_NE(run.output.find("OrphanMsg"), std::string::npos) << run.output;
-  EXPECT_EQ(run.output.find("\"rule\": \"SER-001\", \"message\": "
-                            "\"wire message `RegisteredMsg`"),
-            std::string::npos)
-      << "registered struct must not be reported:\n" << run.output;
-  EXPECT_EQ(run.output.find("TracedEnvelopeMsg"), std::string::npos)
-      << "registered trace-payload struct must not be reported:\n"
       << run.output;
 }
 

@@ -13,7 +13,7 @@
 
 #include "runtime/substrate.h"
 #include "scenario/fuzzer.h"
-#include "scenario/json.h"
+#include "common/json.h"
 #include "scenario/runner.h"
 #include "scenario/scenario.h"
 #include "tests/test_util.h"

@@ -10,7 +10,7 @@
 #include <string>
 #include <vector>
 
-#include "scenario/json.h"
+#include "common/json.h"
 #include "scenario/scenario.h"
 #include "tests/test_util.h"
 

@@ -188,48 +188,75 @@ TEST(TraceDeterminismTest, KMeansTraceIsByteIdenticalAndMatchesGolden) {
   EXPECT_EQ(Digest(a), 0xe610d98981268f3cULL);
 }
 
-// --- The failure path: a corpus crash/recovery drive. ---
+// --- Corpus drives through the ScenarioRunner. ---
 //
-// fig8d's processor crash/restart timeline, scaled down to test size with
-// the crash and the recovery both inside the sampled window, replayed
-// through the ScenarioRunner. It covers what the plain runs above do not:
-// kill/recover in the transport, drive-boundary action application and
-// the bucketed sampling path. The golden pins the trace bytes: a change
-// to the transport's event or RNG draw schedule, or to the recorder's
-// export order, shows up here.
+// Corpus files scaled down to test size, with every scripted action inside
+// the sampled window. fig8d's processor crash/restart covers what the plain
+// runs above do not: kill/recover in the transport, drive-boundary action
+// application and the bucketed sampling path. The other rows pin the
+// runner's workload definitions for the kinds no run above covers
+// (PageRank, the bench-shaped KMeans points, sparse logistic SGD). The
+// goldens pin the trace bytes: a change to the transport's event or RNG
+// draw schedule, to the recorder's export order, or to a workload's
+// stream or job definition shows up here.
 
-TracedRun RunFig8dFailure() {
+struct CorpusGolden {
+  const char* file;
+  uint64_t tuples;        // warmup is half of it
+  double settle_seconds;
+  uint32_t sample_count;
+  double downtime;        // crash_restart downtime; < 0 keeps the file's
+  uint64_t digest;
+};
+
+const CorpusGolden kCorpusGoldens[] = {
+    {"fig8d_processor_failure.json", 2600, 0.25, 24, 0.25,
+     0x16f33bb4a41d6a85ULL},
+    {"fig5_pagerank_approx.json", 2000, 0.2, 10, -1.0,
+     0x6264c99bc7da0fceULL},
+    {"straggler_slow_node.json", 2000, 0.2, 18, -1.0,
+     0x3d17ffd85747a0d8ULL},
+    {"ingest_flash_crowd.json", 2000, 0.2, 14, -1.0,
+     0x926e3bd23ebffedeULL},
+};
+
+TracedRun RunCorpusFile(const CorpusGolden& row) {
   scenario::Scenario s;
   std::vector<std::string> errors;
   const std::string path =
-      std::string(TORNADO_SCENARIO_CORPUS) + "/fig8d_processor_failure.json";
+      std::string(TORNADO_SCENARIO_CORPUS) + "/" + row.file;
   EXPECT_TRUE(scenario::LoadScenarioFile(path, &s, &errors))
       << (errors.empty() ? path : errors[0]);
-  s.workload.tuples = 2600;
-  s.drive.warmup_tuples = 1300;
-  s.drive.settle_seconds = 0.25;
-  s.drive.sample_count = 24;
-  EXPECT_FALSE(s.timeline.empty());
-  if (!s.timeline.empty()) s.timeline[0].downtime = 0.25;
+  s.workload.tuples = row.tuples;
+  s.drive.warmup_tuples = row.tuples / 2;
+  s.drive.settle_seconds = row.settle_seconds;
+  s.drive.sample_count = row.sample_count;
+  if (row.downtime >= 0.0) {
+    EXPECT_FALSE(s.timeline.empty());
+    for (scenario::TimelineAction& a : s.timeline) a.downtime = row.downtime;
+  }
 
   scenario::RunOptions options;
   options.after_build = [](TornadoCluster& c) { c.EnableTracing(4'000'000); };
   scenario::ScenarioRunner runner(s, std::move(options));
   const scenario::ScenarioVerdict verdict = runner.Run();
   EXPECT_TRUE(verdict.completed && verdict.invariants_held)
-      << verdict.Summary();
+      << row.file << ": " << verdict.Summary();
 
-  EXPECT_EQ(runner.cluster()->trace()->dropped(), 0u);
+  EXPECT_EQ(runner.cluster()->trace()->dropped(), 0u) << row.file;
   return Capture(*runner.cluster());
 }
 
-TEST(TraceDeterminismTest, Fig8dFailureTraceIsByteIdenticalAndMatchesGolden) {
-  const TracedRun a = RunFig8dFailure();
-  const TracedRun b = RunFig8dFailure();
-  EXPECT_GT(a.events, 0u);
-  EXPECT_EQ(a.trace_json, b.trace_json);
-  EXPECT_EQ(a.series_csv, b.series_csv);
-  EXPECT_EQ(Digest(a), 0x16f33bb4a41d6a85ULL);
+TEST(TraceDeterminismTest, CorpusTracesAreByteIdenticalAndMatchGoldens) {
+  for (const CorpusGolden& row : kCorpusGoldens) {
+    const TracedRun a = RunCorpusFile(row);
+    const TracedRun b = RunCorpusFile(row);
+    EXPECT_GT(a.events, 0u) << row.file;
+    EXPECT_EQ(a.trace_json, b.trace_json) << row.file;
+    EXPECT_EQ(a.series_csv, b.series_csv) << row.file;
+    EXPECT_EQ(Digest(a), row.digest)
+        << row.file << ": digest 0x" << std::hex << Digest(a);
+  }
 }
 
 }  // namespace

@@ -1,15 +1,18 @@
 // Unit coverage of the trace subsystem (docs/OBSERVABILITY.md): the
 // recorder's Chrome trace-event export, the time-series sampler, the
-// offline report, and the end-to-end cluster wiring behind
-// TornadoCluster::EnableTracing().
+// offline report, the end-to-end cluster wiring behind
+// TornadoCluster::EnableTracing(), and the benches' --json result file.
 
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "algos/sssp.h"
+#include "bench/bench_util.h"
+#include "common/json.h"
 #include "core/cluster.h"
 #include "runtime/sim_substrate.h"
 #include "sim/event_loop.h"
@@ -32,6 +35,7 @@ TEST(TraceRecorderTest, WritesWellFormedChromeJson) {
   TraceRecorder recorder(&sched);
   recorder.SetTrackName(0, "processor 0");
   recorder.SetTrackName(1, "master");
+  recorder.SetTrackName(2, "quote \" backslash \\ tab \t");
 
   loop.Schedule(0.5, [&]() {
     recorder.Instant(trace_cat::kProtocol, "commit", 0,
@@ -59,6 +63,16 @@ TEST(TraceRecorderTest, WritesWellFormedChromeJson) {
   // Timestamps are microseconds of virtual time.
   EXPECT_NE(json.find("\"ts\":500000.000"), std::string::npos);
   EXPECT_EQ(json.substr(json.size() - 3), "]}\n");
+
+  // The whole export is one valid JSON document; names are escaped.
+  JsonValue doc;
+  std::string error;
+  ASSERT_TRUE(JsonParse(json, &doc, &error)) << error;
+  const JsonValue* events = doc.Find("traceEvents");
+  ASSERT_TRUE(events != nullptr && events->is_array());
+  EXPECT_EQ(events->array.size(), 6u);  // 3 track names + 3 events
+  EXPECT_EQ(events->array[2].Find("args")->Find("name")->string_value,
+            "quote \" backslash \\ tab \t");
 }
 
 TEST(TraceRecorderTest, PauseDropsRecordCalls) {
@@ -327,6 +341,48 @@ TEST(ClusterTracingTest, CauseIdsLinkPreparesToCommits) {
     }
   }
   EXPECT_GT(flows, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// BenchJson (bench/bench_util.h)
+// ---------------------------------------------------------------------------
+
+TEST(BenchJsonTest, OutputParsesWithTheDocumentedKeys) {
+  const std::string label = "quote \" backslash \\ newline \n end";
+  bench::BenchJson out("bench_test");
+  out.AddKnob("label", label);
+  out.AddKnob("delay_bound", 16);
+  out.AddResult("p50_seconds", 0.25);
+  Histogram latency;
+  latency.Add(1.0);
+  latency.Add(3.0);
+  out.AddHistogram("latency", latency);
+  MetricRegistry metrics;
+  metrics.Inc("updates_committed", 7);
+  out.AddMetrics(metrics);
+  out.SetVirtualSeconds(2.5);
+
+  JsonValue root;
+  std::string error;
+  ASSERT_TRUE(JsonParse(out.ToJson(), &root, &error)) << error;
+  std::vector<std::string> keys;
+  for (const auto& [key, value] : root.object) keys.push_back(key);
+  EXPECT_EQ(keys, (std::vector<std::string>{
+                      "bench", "knobs", "wall_seconds", "virtual_seconds",
+                      "counters", "histograms", "results"}));
+  EXPECT_EQ(root.Find("bench")->string_value, "bench_test");
+  EXPECT_EQ(root.Find("knobs")->Find("label")->string_value, label);
+  EXPECT_EQ(root.Find("knobs")->Find("delay_bound")->number, 16.0);
+  EXPECT_GE(root.Find("wall_seconds")->number, 0.0);
+  EXPECT_EQ(root.Find("virtual_seconds")->number, 2.5);
+  EXPECT_EQ(root.Find("counters")->Find("updates_committed")->number, 7.0);
+  const JsonValue* row = root.Find("histograms")->Find("latency");
+  ASSERT_NE(row, nullptr);
+  EXPECT_EQ(row->Find("count")->number, 2.0);
+  EXPECT_EQ(row->Find("min")->number, 1.0);
+  EXPECT_EQ(row->Find("max")->number, 3.0);
+  EXPECT_EQ(row->Find("p50")->number, 2.0);
+  EXPECT_EQ(root.Find("results")->Find("p50_seconds")->number, 0.25);
 }
 
 }  // namespace
