@@ -123,6 +123,12 @@ inline constexpr const char kVersionsFlushed[] = "versions_flushed";
 inline constexpr const char kInputsGathered[] = "inputs_gathered";
 inline constexpr const char kUpdatesBlocked[] = "updates_blocked_at_bound";
 inline constexpr const char kIterationsTerminated[] = "iterations_terminated";
+// Per-period work: sessions a progress report examines, per-iteration
+// entries a store flush sums, and chains a store prune examines. (Short
+// names stay in the string's inline buffer: cluster setup interns them.)
+inline constexpr const char kReportSessionsVisited[] = "report_visits";
+inline constexpr const char kFlushEntriesVisited[] = "flush_visits";
+inline constexpr const char kPruneChainsVisited[] = "prune_visits";
 
 // Distribution names (MetricRegistry::Observe).
 inline constexpr const char kQueryLatency[] = "query_latency_seconds";

@@ -38,6 +38,7 @@ TornadoCluster::TornadoCluster(JobConfig config,
   metrics_observer_ =
       std::make_unique<MetricsEngineObserver>(&transport->metrics());
   engine_observers_.Add(metrics_observer_.get());
+  store_.AttachMetrics(&transport->metrics());
 
 #ifdef TORNADO_CHECK
   // Checked builds shadow the protocol with the invariant checker; any

@@ -1,7 +1,6 @@
 #include "core/master.h"
 
 #include <algorithm>
-#include <functional>
 
 #include "common/logging.h"
 #include "common/metrics.h"
@@ -14,11 +13,6 @@ namespace tornado {
 namespace {
 /// Pseudo-loop id under which the master journals its control state.
 constexpr LoopId kJournalLoop = 0xFFFFFFFEu;
-
-void HashCombine(size_t* seed, uint64_t v) {
-  *seed ^= std::hash<uint64_t>()(v) + 0x9E3779B97F4A7C15ULL + (*seed << 6) +
-           (*seed >> 2);
-}
 }  // namespace
 
 Master::Master(const JobConfig* config, VersionedStore* store,
@@ -101,7 +95,7 @@ void Master::RecoverAfterProcessorFailure() {
     if (lc.converged) return;
     lc.epoch++;
     lc.latest.assign(config_->num_processors, std::nullopt);
-    lc.has_fingerprint = false;
+    lc.has_snapshot = false;
     lc.small_progress_run = 0;
     if (lc.last_terminated == kNoIteration) {
       if (lc.is_branch) {
@@ -230,37 +224,36 @@ void Master::TryTerminate(LoopControl& lc) {
   // successive report rounds (every processor reported in between) before
   // the candidate is trusted — in-flight messages would otherwise be
   // mistaken for quiescence.
-  // Only candidate-relevant state goes into the fingerprint: the counters
-  // of buckets at or below the candidate. Volatile global state (blocked
-  // counts, the exact min_work value) changes every round under load but
-  // does not affect whether the candidate may terminate — hashing it would
-  // keep the detector from ever stabilizing on a busy main loop.
-  size_t fp = 0;
-  HashCombine(&fp, candidate);
+  // Only candidate-relevant state is compared: the counters of buckets at
+  // or below the candidate. Volatile global state (blocked counts, the
+  // exact min_work value) changes every round under load but does not
+  // affect whether the candidate may terminate — comparing it would keep
+  // the detector from ever stabilizing on a busy main loop. The
+  // comparison is exact, so no changed picture can pass for the snapshot.
+  std::vector<BucketSnapshot> picture;
   for (const auto& [iter, c] : sum) {
     if (iter > candidate) break;
-    HashCombine(&fp, iter);
-    HashCombine(&fp, c.committed);
-    HashCombine(&fp, c.sent);
-    HashCombine(&fp, c.gathered);
+    picture.push_back({iter, c.committed, c.sent, c.gathered});
   }
   (void)blocked;
 
-  if (!lc.has_fingerprint || lc.fingerprint != fp) {
+  if (!lc.has_snapshot || lc.snapshot_candidate != candidate ||
+      lc.snapshot != picture) {
     // First collection of this picture: snapshot it and wait until every
     // processor has reported again with the picture unchanged.
-    lc.fingerprint = fp;
-    lc.has_fingerprint = true;
-    lc.fingerprint_seqs.assign(lc.latest.size(), 0);
+    lc.snapshot_candidate = candidate;
+    lc.snapshot = std::move(picture);
+    lc.has_snapshot = true;
+    lc.snapshot_seqs.assign(lc.latest.size(), 0);
     for (uint32_t p = 0; p < lc.latest.size(); ++p) {
-      lc.fingerprint_seqs[p] = lc.latest[p]->report_seq;
+      lc.snapshot_seqs[p] = lc.latest[p]->report_seq;
     }
     return;
   }
   // Same picture as the snapshot: it counts as the second collection only
   // once all processors have reported since the snapshot was taken.
   for (uint32_t p = 0; p < lc.latest.size(); ++p) {
-    if (lc.latest[p]->report_seq <= lc.fingerprint_seqs[p]) return;
+    if (lc.latest[p]->report_seq <= lc.snapshot_seqs[p]) return;
   }
 
   // Record per-iteration stats for the newly terminated range.
@@ -283,7 +276,7 @@ void Master::TryTerminate(LoopControl& lc) {
 
 void Master::Terminate(LoopControl& lc, Iteration upto) {
   lc.last_terminated = upto;
-  lc.has_fingerprint = false;
+  lc.has_snapshot = false;
   transport()->metrics().Inc(metric::kIterationsTerminated);
   if (trace_ != nullptr) {
     trace_->Instant(trace_cat::kMaster, "terminate", id(),
@@ -625,7 +618,7 @@ void Master::DumpTermination(LoopId loop) const {
   TLOG_INFO << "master loop " << loop << " epoch " << lc.epoch
             << " last_terminated=" << static_cast<int64_t>(lc.last_terminated)
             << " converged=" << lc.converged
-            << " has_fp=" << lc.has_fingerprint;
+            << " has_snapshot=" << lc.has_snapshot;
   std::map<Iteration, IterationCounters> sum;
   Iteration min_work = kNoIteration;
   for (uint32_t p = 0; p < lc.latest.size(); ++p) {

@@ -80,6 +80,15 @@ class Master : public Node {
   void set_trace(TraceRecorder* trace) { trace_ = trace; }
 
  private:
+  /// One aggregated bucket as double collection compares it.
+  struct BucketSnapshot {
+    Iteration iteration = 0;
+    uint64_t committed = 0;
+    uint64_t sent = 0;
+    uint64_t gathered = 0;
+    bool operator==(const BucketSnapshot&) const = default;
+  };
+
   struct LoopControl {
     LoopId loop = 0;
     LoopEpoch epoch = 0;
@@ -94,10 +103,13 @@ class Master : public Node {
     bool progress_seen = false;  // epsilon window opens after real work
     // Latest report per processor index (empty until first report).
     std::vector<std::optional<ProgressMsg>> latest;
-    // Double-collection state.
-    size_t fingerprint = 0;
-    bool has_fingerprint = false;
-    std::vector<uint64_t> fingerprint_seqs;
+    // Double-collection state: the first collection's candidate and the
+    // aggregated counters of its buckets at or below the candidate, and
+    // each processor's report sequence number when it was taken.
+    Iteration snapshot_candidate = 0;
+    std::vector<BucketSnapshot> snapshot;
+    bool has_snapshot = false;
+    std::vector<uint64_t> snapshot_seqs;
     std::vector<IterationStat> stats;
   };
 

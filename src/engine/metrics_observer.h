@@ -20,7 +20,9 @@ class MetricsEngineObserver final : public EngineObserver {
         acks_sent_(metrics->CounterHandle(metric::kAcksSent)),
         updates_committed_(metrics->CounterHandle(metric::kUpdatesCommitted)),
         updates_blocked_(metrics->CounterHandle(metric::kUpdatesBlocked)),
-        versions_flushed_(metrics->CounterHandle(metric::kVersionsFlushed)) {}
+        versions_flushed_(metrics->CounterHandle(metric::kVersionsFlushed)),
+        report_sessions_visited_(
+            metrics->CounterHandle(metric::kReportSessionsVisited)) {}
 
   void OnInputGathered(LoopId, VertexId) override { ++inputs_gathered_; }
   void OnPrepare(LoopId, LoopEpoch, VertexId, uint64_t fanout) override {
@@ -39,6 +41,9 @@ class MetricsEngineObserver final : public EngineObserver {
   void OnFlush(LoopId, uint64_t versions) override {
     versions_flushed_ += static_cast<int64_t>(versions);
   }
+  void OnReport(LoopId, uint32_t, uint64_t sessions_visited) override {
+    report_sessions_visited_ += static_cast<int64_t>(sessions_visited);
+  }
 
  private:
   metric::Counter& inputs_gathered_;
@@ -47,6 +52,7 @@ class MetricsEngineObserver final : public EngineObserver {
   metric::Counter& updates_committed_;
   metric::Counter& updates_blocked_;
   metric::Counter& versions_flushed_;
+  metric::Counter& report_sessions_visited_;
 };
 
 }  // namespace tornado

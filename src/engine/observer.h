@@ -62,6 +62,11 @@ class EngineObserver {
   /// report (Section 5.3's checkpoint rule).
   virtual void OnFlush(LoopId /*loop*/, uint64_t /*versions*/) {}
 
+  /// Processor `processor` built a progress report for `loop`, examining
+  /// `sessions_visited` vertex sessions to find its minimum pending work.
+  virtual void OnReport(LoopId /*loop*/, uint32_t /*processor*/,
+                        uint64_t /*sessions_visited*/) {}
+
   // --- Lifecycle events (consumed by the invariant checker). ---
 
   /// Processor `processor` (re)materialized the runtime of `loop` under
@@ -132,6 +137,12 @@ class EngineObserverList final : public EngineObserver {
   }
   void OnFlush(LoopId loop, uint64_t versions) override {
     for (EngineObserver* o : observers_) o->OnFlush(loop, versions);
+  }
+  void OnReport(LoopId loop, uint32_t processor,
+                uint64_t sessions_visited) override {
+    for (EngineObserver* o : observers_) {
+      o->OnReport(loop, processor, sessions_visited);
+    }
   }
   void OnLoopCreated(LoopId loop, LoopEpoch epoch, Iteration tau,
                      uint32_t processor) override {

@@ -87,6 +87,24 @@ EngineObserver* NullObserver() {
   return &noop;
 }
 
+/// Keeps `ls.active` equal to the sessions that are dirty or preparing.
+/// Called after every change to either flag.
+void SyncActive(LoopState& ls, VertexSession& s) {
+  const bool active = s.dirty || s.update_time.has_value();
+  if (active == (s.active_slot != 0)) return;
+  if (active) {
+    ls.active.push_back(&s);
+    s.active_slot = static_cast<uint32_t>(ls.active.size());
+  } else {
+    // Swap-remove: the last listed session takes this one's slot.
+    VertexSession* last = ls.active.back();
+    ls.active[s.active_slot - 1] = last;
+    last->active_slot = s.active_slot;
+    ls.active.pop_back();
+    s.active_slot = 0;
+  }
+}
+
 }  // namespace
 
 ProtocolStateMachine::ProtocolStateMachine(uint32_t index,
@@ -296,7 +314,10 @@ void ProtocolStateMachine::GatherInput(LoopState& ls, VertexSession& s,
                     &out->cost);
   const bool changed = config_->program->OnInput(ctx, delta);
   out->cost += config_->cost.per_update_cpu + config_->program->GatherCost();
-  if (changed || !s.retiring().empty()) s.dirty = true;
+  if (changed || !s.retiring().empty()) {
+    s.dirty = true;
+    SyncActive(ls, s);
+  }
 }
 
 void ProtocolStateMachine::HandleUpdate(const UpdateMsg& msg,
@@ -355,6 +376,7 @@ void ProtocolStateMachine::GatherUpdate(LoopState& ls, VertexSession& s,
                     &out->cost);
   if (config_->program->OnUpdate(ctx, source, iteration, update)) {
     s.dirty = true;
+    SyncActive(ls, s);
   }
   out->cost += config_->cost.per_update_cpu + config_->program->GatherCost();
   MaybePrepare(ls, s, out);
@@ -480,6 +502,7 @@ void ProtocolStateMachine::Commit(LoopState& ls, VertexSession& s,
   s.prepare_cause = 0;
   s.update_time.reset();
   s.dirty = false;
+  SyncActive(ls, s);
   s.last_commit = iteration;
   s.iter = iteration;
 
@@ -635,6 +658,7 @@ size_t ProtocolStateMachine::GatherUpdateRun(
                       &out->cost);
     if (prog.OnUpdateBatch(ctx, run.data(), run.size(), per_item_cost)) {
       s.dirty = true;
+      SyncActive(ls, s);
     }
     run.clear();
   };
@@ -710,6 +734,7 @@ void ProtocolStateMachine::HandleForkBranch(const ForkBranchMsg& msg,
     ++loaded;
     if (config_->program->ActivateOnFork(*s.state)) {
       s.dirty = true;
+      SyncActive(branch, s);
     }
   }
   out->cost += config_->cost.store_write_cost * static_cast<double>(loaded);
@@ -732,12 +757,14 @@ void ProtocolStateMachine::HandleForkBranch(const ForkBranchMsg& msg,
       if (!active) return;
       VertexSession& s = GetOrCreateVertex(branch, v);
       s.dirty = true;
+      SyncActive(branch, s);
       config_->program->OnRestore(s.state.get());
     });
     for (auto& [iter, batch] : parent->blocked) {
       for (const BlockedUpdate& b : batch) {
         VertexSession& s = GetOrCreateVertex(branch, b.dst);
         s.dirty = true;
+        SyncActive(branch, s);
         config_->program->OnRestore(s.state.get());
       }
     }
@@ -776,7 +803,7 @@ void ProtocolStateMachine::HandleRestartLoop(const RestartLoopMsg& msg,
       // vertex re-scatters once so work lost in the rollback is redone.
       s.dirty = true;
       config_->program->OnRestore(s.state.get());
-      loop.vertices.emplace(v, std::move(s));
+      SyncActive(loop, loop.vertices.emplace(v, std::move(s)).first->second);
       ++loaded;
     }
     out->cost += config_->cost.store_write_cost * static_cast<double>(loaded);
@@ -820,6 +847,7 @@ void ProtocolStateMachine::HandleAdoptMerge(const AdoptMergeMsg& msg) {
     }
     s.merge_floor = msg.merge_iteration;
     s.dirty = false;
+    SyncActive(*ls, s);
     observer_->OnMergeAdopted(ls->loop, ls->epoch, v, msg.merge_iteration);
   }
 }
@@ -852,14 +880,28 @@ std::shared_ptr<ProgressMsg> ProtocolStateMachine::BuildReport(
   report->report_seq = ++ls.report_seq;
   report->buckets = ls.buckets;
 
+  // Only active sessions can still commit, so only they bound the
+  // earliest iteration pending work may land at.
   Iteration min_work = kNoIteration;
+  for (const VertexSession* s : ls.active) {
+    const Iteration mc = MinCommitIteration(ls, *s);
+    if (mc < min_work) min_work = mc;
+  }
+#ifdef TORNADO_CHECK
+  // The full scan the active set replaces.
+  Iteration scanned = kNoIteration;
+  size_t scanned_active = 0;
   // NOLINTNEXTLINE(DET-003): min-aggregation is order-insensitive.
   for (const auto& [v, s] : ls.vertices) {
     if (!s.dirty && !s.update_time.has_value()) continue;
-    const Iteration mc = MinCommitIteration(ls, s);
-    if (mc < min_work) min_work = mc;
+    ++scanned_active;
+    scanned = std::min(scanned, MinCommitIteration(ls, s));
   }
+  TCHECK_EQ(scanned, min_work) << "active set of loop " << ls.loop;
+  TCHECK_EQ(scanned_active, ls.active.size()) << "loop " << ls.loop;
+#endif
   report->min_work_iter = min_work;
+  observer_->OnReport(ls.loop, index_, ls.active.size());
 
   double progress_sum = 0.0;
   for (const auto& [iter, p] : ls.progress) progress_sum += p;

@@ -35,6 +35,11 @@ struct LoopState {
   std::map<Iteration, IterationCounters> buckets;
   std::map<Iteration, double> progress;  // per-iteration progress metric
   std::unordered_set<VertexId> stalled;  // dirty but held by the bound
+  // Sessions that are dirty or preparing, the only ones a progress
+  // report's min_work_iter depends on (VertexSession::active_slot). Held by
+  // address: map nodes do not move, and a session is erased only together
+  // with its loop.
+  std::vector<VertexSession*> active;
   uint64_t inputs_gathered = 0;
   uint64_t prepares_sent = 0;
   uint64_t blocked_count = 0;

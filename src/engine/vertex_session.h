@@ -48,6 +48,8 @@ struct VertexSession {
   std::vector<DeferredAck> pending_list;
   uint64_t prepare_cause = 0;  // trace round id of the in-flight prepare
   bool dirty = false;
+  // 1 + its index in LoopState::active while dirty or preparing, else 0.
+  uint32_t active_slot = 0;
   std::deque<Delta> pending_inputs;  // inputs deferred during preparation
   Iteration merge_floor = 0;         // updates below this are stale
   Rng rng{0};

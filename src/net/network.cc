@@ -33,6 +33,18 @@ void Network::RegisterNode(Node* node, HostId host, double speed_factor) {
   if (host >= hosts_.size()) hosts_.resize(host + 1);
 }
 
+void Network::ResizeLinks() {
+  const size_t n = nodes_.size();
+  std::vector<Link> links(n * n);
+  for (size_t src = 0; src < link_stride_; ++src) {
+    for (size_t dst = 0; dst < link_stride_; ++dst) {
+      links[src * n + dst] = std::move(links_[src * link_stride_ + dst]);
+    }
+  }
+  links_ = std::move(links);
+  link_stride_ = n;
+}
+
 double Network::SampleLatency(NodeId node) {
   const double jitter = nodes_[node].rng.NextDouble(1.0 - cost_.net_jitter,
                                                     1.0 + cost_.net_jitter);
@@ -50,8 +62,8 @@ void Network::Send(NodeId src, NodeId dst, PayloadPtr payload, bool reliable) {
   uint64_t seq = 0;
   if (reliable) {
     const uint32_t dst_inc = nodes_[dst].incarnation;
-    const uint64_t key = ChannelKey(src, sender.incarnation, dst, dst_inc);
-    SendChannel& ch = send_channels_[key];
+    SendChannel& ch =
+        ChannelIn(LinkOf(src, dst).send, sender.incarnation, dst_inc);
     seq = ch.next_seq++;
     PendingSend pending;
     pending.dst = dst;
@@ -62,7 +74,7 @@ void Network::Send(NodeId src, NodeId dst, PayloadPtr payload, bool reliable) {
     const double deadline = pending.deadline;
     ch.window.push_back(std::move(pending));
     ++ch.live;
-    EnsureChannelTimer(key, ch, deadline);
+    EnsureChannelTimer(src, dst, ch, deadline);
   }
   TransmitToHost(src, dst, sender.incarnation, seq, std::move(payload),
                  reliable, /*retransmit=*/false);
@@ -135,17 +147,21 @@ void Network::ArriveAtNode(NodeId src, NodeId dst, uint32_t src_inc,
   // TCP-like per-channel semantics: drop duplicates, hold out-of-order
   // arrivals, deliver in sequence order. Delivery happens before the ack
   // below is captured, so the ack always covers this arrival.
-  RecvChannel& rc = recv_channels_[ChannelKey(src, src_inc, dst, dst_inc)];
+  RecvChannel& rc = ChannelIn(LinkOf(src, dst).recv, src_inc, dst_inc);
   if (seq <= rc.contiguous || rc.held.count(seq) > 0) {
     c_deduped_->fetch_add(1, std::memory_order_relaxed);
-  } else {
-    rc.held.emplace(seq, HeldMessage{src, std::move(payload)});
+  } else if (seq == rc.contiguous + 1) {
+    // In order: deliver it, then whatever it unblocks from the hold.
+    ++rc.contiguous;
+    EnqueueAtNode(src, dst, std::move(payload));
     while (!rc.held.empty() && rc.held.begin()->first == rc.contiguous + 1) {
       HeldMessage next = std::move(rc.held.begin()->second);
       rc.held.erase(rc.held.begin());
       ++rc.contiguous;
       EnqueueAtNode(next.src, dst, std::move(next.payload));
     }
+  } else {
+    rc.held.emplace(seq, HeldMessage{src, std::move(payload)});
   }
 
   // Transport-level acknowledgement back to the sender (unreliable and
@@ -202,9 +218,9 @@ void Network::AckFollowup(NodeId src, uint32_t src_inc, NodeId dst,
   // The receiver restarted while the ack was in flight: its channel state
   // is gone, and the pending follow-up dies with it (the sender migrates
   // the messages to the new incarnation at the next retransmit).
-  auto it = recv_channels_.find(ChannelKey(src, src_inc, dst, dst_inc));
-  if (it == recv_channels_.end()) return;
-  RecvChannel& rc = it->second;
+  RecvChannel* found = FindRecv(src, src_inc, dst, dst_inc);
+  if (found == nullptr) return;
+  RecvChannel& rc = *found;
   rc.followup_scheduled = false;
   ScheduleAckApply(src, src_inc, dst, dst_inc, rc.next_ack_lat, rc);
   rc.ack_pending_until = loop_->now() + rc.next_ack_lat;
@@ -230,9 +246,9 @@ void Network::ApplyAck(NodeId src, uint32_t src_inc, NodeId dst,
   c_transport_acks_->fetch_add(1, std::memory_order_relaxed);
   NodeState& sender = nodes_[src];
   if (!sender.alive || sender.incarnation != src_inc) return;
-  auto ch_it = send_channels_.find(ChannelKey(src, src_inc, dst, dst_inc));
-  if (ch_it == send_channels_.end()) return;
-  SendChannel& ch = ch_it->second;
+  SendChannel* found = FindSend(src, src_inc, dst, dst_inc);
+  if (found == nullptr) return;
+  SendChannel& ch = *found;
 
   // Cumulative prefix: everything at or below `cumulative` is received.
   while (!ch.window.empty() && ch.base_seq <= cumulative) {
@@ -267,35 +283,37 @@ void Network::ApplyAck(NodeId src, uint32_t src_inc, NodeId dst,
   // still lower-bounds the earliest live one and re-arms itself on fire.
 }
 
-void Network::EnsureChannelTimer(uint64_t channel_key, SendChannel& ch,
+void Network::EnsureChannelTimer(NodeId src, NodeId dst, SendChannel& ch,
                                  double deadline) {
   if (ch.timer != 0 && ch.timer_deadline <= deadline) return;
   if (ch.timer != 0) loop_->Cancel(ch.timer);
   ch.timer_deadline = deadline;
   ch.timer = loop_->ScheduleAt(
-      deadline, [this, channel_key]() { ChannelTimerFired(channel_key); });
+      deadline, [this, src, src_inc = ch.src_inc, dst, dst_inc = ch.dst_inc]() {
+        ChannelTimerFired(src, src_inc, dst, dst_inc);
+      });
 }
 
-void Network::ChannelTimerFired(uint64_t channel_key) {
-  auto ch_it = send_channels_.find(channel_key);
-  if (ch_it == send_channels_.end()) return;
-  SendChannel& ch = ch_it->second;
+void Network::ChannelTimerFired(NodeId src, uint32_t src_inc, NodeId dst,
+                                uint32_t dst_inc) {
+  SendChannel* found = FindSend(src, src_inc, dst, dst_inc);
+  if (found == nullptr) return;
+  SendChannel& ch = *found;
   ch.timer = 0;
 
-  const NodeId src = static_cast<NodeId>(channel_key >> 42);
-  const uint32_t src_inc = static_cast<uint32_t>((channel_key >> 28) & 0x3FFF);
   NodeState& sender = nodes_[src];
   if (!sender.alive || sender.incarnation != src_inc) {
     // A dead incarnation's channel (KillNode normally erased it already).
-    send_channels_.erase(ch_it);
+    std::vector<SendChannel>& channels = FindLink(src, dst)->send;
+    channels.erase(channels.begin() + (found - channels.data()));
     return;
   }
 
   const double now = loop_->now();
   double next_deadline = 0.0;
   bool has_next = false;
-  // Receiver-restart migrations are deferred: Send() may rehash
-  // send_channels_, so nothing may touch `ch` after the first migration.
+  // Receiver-restart migrations are deferred: Send() may add a channel to
+  // this link, so nothing may touch `ch` after the first migration.
   std::vector<std::pair<NodeId, PayloadPtr>> migrate;
 
   for (size_t i = 0; i < ch.window.size(); ++i) {
@@ -337,7 +355,7 @@ void Network::ChannelTimerFired(uint64_t channel_key) {
     ch.window.clear();
     ch.base_seq = ch.next_seq;
   } else if (has_next) {
-    EnsureChannelTimer(channel_key, ch, next_deadline);
+    EnsureChannelTimer(src, dst, ch, next_deadline);
   }
 
   for (auto& [migrate_dst, payload] : migrate) {
@@ -401,13 +419,12 @@ void Network::KillNode(NodeId id) {
   ns.inbox.clear();
   // The crashed process loses its send-side channel state: cancel its
   // (single, per-channel) retransmission timers.
-  for (auto it = send_channels_.begin(); it != send_channels_.end();) {
-    if ((it->first >> 42) == id) {
-      if (it->second.timer != 0) loop_->Cancel(it->second.timer);
-      it = send_channels_.erase(it);
-    } else {
-      ++it;
+  for (NodeId dst = 0; id < link_stride_ && dst < link_stride_; ++dst) {
+    Link& link = links_[id * link_stride_ + dst];
+    for (const SendChannel& ch : link.send) {
+      if (ch.timer != 0) loop_->Cancel(ch.timer);
     }
+    link.send.clear();
   }
   TLOG_INFO << "node " << id << " killed at t=" << loop_->now();
   if (observer_ != nullptr) observer_->OnNodeKilled(id);
@@ -425,12 +442,8 @@ void Network::RecoverNode(NodeId id) {
   // Receiver-side channel state of old incarnations is garbage now; the
   // incarnation bump means senders open fresh channels (and migrate their
   // unacknowledged messages onto them at the next retransmission).
-  for (auto it = recv_channels_.begin(); it != recv_channels_.end();) {
-    if (((it->first >> 14) & 0x3FFF) == id) {
-      it = recv_channels_.erase(it);
-    } else {
-      ++it;
-    }
+  for (NodeId src = 0; id < link_stride_ && src < link_stride_; ++src) {
+    links_[src * link_stride_ + id].recv.clear();
   }
   TLOG_INFO << "node " << id << " recovered at t=" << loop_->now();
   if (observer_ != nullptr) observer_->OnNodeRecovered(id);

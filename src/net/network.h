@@ -6,7 +6,6 @@
 #include <functional>
 #include <map>
 #include <set>
-#include <unordered_map>
 #include <vector>
 
 #include "common/metrics.h"
@@ -153,6 +152,8 @@ class Network final : public Transport {
     bool done = false;  // acked (or dropped); awaiting front advance
   };
   struct SendChannel {
+    uint32_t src_inc = 0;  // incarnations of the endpoints it connects
+    uint32_t dst_inc = 0;
     uint64_t next_seq = 1;
     uint64_t base_seq = 1;  // seq of window.front()
     std::deque<PendingSend> window;
@@ -178,6 +179,8 @@ class Network final : public Transport {
     PayloadPtr payload;
   };
   struct RecvChannel {
+    uint32_t src_inc = 0;  // incarnations of the endpoints it connects
+    uint32_t dst_inc = 0;
     uint64_t contiguous = 0;               // all seq <= this delivered
     std::map<uint64_t, HeldMessage> held;  // arrived out of order
     double ack_pending_until = -1.0;  // apply time of the in-flight ack
@@ -187,17 +190,65 @@ class Network final : public Transport {
 
   // A channel is one "TCP connection": it exists between specific
   // incarnations of the two endpoints. Either endpoint restarting starts a
-  // fresh channel with a fresh sequence space.
-  static uint64_t ChannelKey(NodeId src, uint32_t src_inc, NodeId dst,
-                             uint32_t dst_inc) {
-    return (static_cast<uint64_t>(src & 0x3FFF) << 42) |
-           (static_cast<uint64_t>(src_inc & 0x3FFF) << 28) |
-           (static_cast<uint64_t>(dst & 0x3FFF) << 14) |
-           static_cast<uint64_t>(dst_inc & 0x3FFF);
-  }
+  // fresh channel with a fresh sequence space. A Link holds both ends of
+  // every channel from `src` to `dst`: the sender's, one per receiver
+  // incarnation it has sent to since its own start (KillNode clears them),
+  // and the receiver's, one per sender incarnation it has heard from
+  // since its own start (RecoverNode clears them). Outside failures each
+  // list holds one channel. An unused link is two empty vectors: channels
+  // (and their deques) are allocated on first use.
+  struct Link {
+    std::vector<SendChannel> send;
+    std::vector<RecvChannel> recv;
+  };
 
   static uint64_t LinkKey(NodeId src, NodeId dst) {
     return (static_cast<uint64_t>(src) << 32) | dst;
+  }
+
+  // The src -> dst link; sizes the table to the registered nodes first.
+  Link& LinkOf(NodeId src, NodeId dst) {
+    if (link_stride_ != nodes_.size()) ResizeLinks();
+    return links_[src * link_stride_ + dst];
+  }
+  // Same, but null for a pair the table does not cover yet (no channel
+  // can exist there).
+  Link* FindLink(NodeId src, NodeId dst) {
+    if (src >= link_stride_ || dst >= link_stride_) return nullptr;
+    return &links_[src * link_stride_ + dst];
+  }
+  void ResizeLinks();
+  // The channel between the given incarnations in `channels`, or null.
+  // FindSend/FindRecv look it up on the src -> dst link.
+  template <typename Channel>
+  static Channel* FindChannel(std::vector<Channel>& channels,
+                              uint32_t src_inc, uint32_t dst_inc) {
+    for (Channel& ch : channels) {
+      if (ch.src_inc == src_inc && ch.dst_inc == dst_inc) return &ch;
+    }
+    return nullptr;
+  }
+  SendChannel* FindSend(NodeId src, uint32_t src_inc, NodeId dst,
+                        uint32_t dst_inc) {
+    Link* link = FindLink(src, dst);
+    return link == nullptr ? nullptr
+                           : FindChannel(link->send, src_inc, dst_inc);
+  }
+  RecvChannel* FindRecv(NodeId src, uint32_t src_inc, NodeId dst,
+                        uint32_t dst_inc) {
+    Link* link = FindLink(src, dst);
+    return link == nullptr ? nullptr
+                           : FindChannel(link->recv, src_inc, dst_inc);
+  }
+  // Finds the channel, or opens it.
+  template <typename Channel>
+  static Channel& ChannelIn(std::vector<Channel>& channels, uint32_t src_inc,
+                            uint32_t dst_inc) {
+    if (Channel* ch = FindChannel(channels, src_inc, dst_inc)) return *ch;
+    Channel& ch = channels.emplace_back();
+    ch.src_inc = src_inc;
+    ch.dst_inc = dst_inc;
+    return ch;
   }
 
   void TransmitToHost(NodeId src, NodeId dst, uint32_t src_inc, uint64_t seq,
@@ -212,9 +263,10 @@ class Network final : public Transport {
                 uint64_t cumulative, const std::vector<uint64_t>& sacks);
   void AckFollowup(NodeId src, uint32_t src_inc, NodeId dst,
                    uint32_t dst_inc);
-  void EnsureChannelTimer(uint64_t channel_key, SendChannel& ch,
+  void EnsureChannelTimer(NodeId src, NodeId dst, SendChannel& ch,
                           double deadline);
-  void ChannelTimerFired(uint64_t channel_key);
+  void ChannelTimerFired(NodeId src, uint32_t src_inc, NodeId dst,
+                         uint32_t dst_inc);
   static void TrimWindow(SendChannel& ch);
   void SchedulePump(NodeId id);
   void Pump(NodeId id, uint32_t incarnation);
@@ -235,8 +287,10 @@ class Network final : public Transport {
   metric::Counter* c_acks_dropped_link_;
   std::vector<NodeState> nodes_;
   std::vector<HostState> hosts_;
-  std::unordered_map<uint64_t, SendChannel> send_channels_;
-  std::unordered_map<uint64_t, RecvChannel> recv_channels_;
+  // links_[src * link_stride_ + dst], sized to the node count when the
+  // first channel is opened (and again if a node registers later).
+  std::vector<Link> links_;
+  size_t link_stride_ = 0;
   std::set<uint64_t> down_links_;  // LinkKey(src, dst) of one-way cuts
   double handler_extra_cost_ = 0.0;
   NetworkObserver* observer_ = nullptr;

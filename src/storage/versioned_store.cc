@@ -52,7 +52,11 @@ void VersionedStore::PutBytesLocked(LoopId loop, VertexId vertex,
     }
     entries.insert(it, entry);
   }
-  if (!CoveredBy(iteration, loop_data.durable)) ++loop_data.dirty;
+  ListPrunable(loop_data, chain);
+  if (!CoveredBy(iteration, loop_data.durable)) {
+    ++loop_data.dirty;
+    ++loop_data.pending[iteration];
+  }
 }
 
 const VersionedStore::Chain* VersionedStore::FindChain(LoopId loop,
@@ -108,6 +112,23 @@ void VersionedStore::ReleaseEntry(LoopData& data, const VersionEntry& entry) {
   }
 }
 
+void VersionedStore::ForgetDirty(LoopData& data, Iteration iteration) {
+  if (CoveredBy(iteration, data.durable)) return;
+  TCHECK_GT(data.dirty, 0u);
+  --data.dirty;
+  auto it = data.pending.find(iteration);
+  TCHECK(it != data.pending.end());
+  if (--it->second == 0) data.pending.erase(it);
+}
+
+void VersionedStore::ListPrunable(LoopData& data, Chain& chain) {
+  if (chain.entries.size() < 2) return;
+  const Iteration key = chain.entries[1].iteration;
+  if (key >= chain.listed_at) return;  // listed at or below the key already
+  chain.listed_at = key;
+  data.prunable[key].push_back(&chain);
+}
+
 void VersionedStore::MaybeCompact(LoopData& data) {
   const size_t garbage = data.arena.size() - data.live_bytes;
   if (garbage < 4096 || garbage <= data.live_bytes) return;
@@ -127,6 +148,13 @@ void VersionedStore::MaybeCompact(LoopData& data) {
   TCHECK_EQ(compacted.size(), data.live_bytes);
   data.arena = std::move(compacted);
   ++data.compactions;
+}
+
+void VersionedStore::CountVisits(metric::Counter*& counter,
+                                 const char* name, size_t visited) {
+  if (metrics_ == nullptr || visited == 0) return;
+  if (counter == nullptr) counter = &metrics_->CounterHandle(name);
+  counter->fetch_add(static_cast<int64_t>(visited), std::memory_order_relaxed);
 }
 
 VersionView VersionedStore::GetLocked(LoopId loop, VertexId vertex,
@@ -211,15 +239,27 @@ size_t VersionedStore::FlushLocked(LoopId loop, Iteration iteration) {
   if (CoveredBy(iteration, data.durable)) return 0;
 
   size_t flushed = 0;
+  size_t visited = 0;
+  const auto end = data.pending.upper_bound(iteration);
+  for (auto p = data.pending.begin(); p != end; ++p, ++visited) {
+    flushed += p->second;
+  }
+  data.pending.erase(data.pending.begin(), end);
+#ifdef TORNADO_CHECK
+  // The full scan the per-iteration counts replace.
+  size_t scanned = 0;
   for (const auto& [vertex, chain] : data.chains) {
     for (const VersionEntry& entry : chain.entries) {
       if (entry.iteration > iteration) break;
-      if (!CoveredBy(entry.iteration, data.durable)) ++flushed;
+      if (!CoveredBy(entry.iteration, data.durable)) ++scanned;
     }
   }
+  TCHECK_EQ(scanned, flushed) << "pending counts diverged from the chains";
+#endif
   data.durable = iteration;
   TCHECK_GE(data.dirty, flushed);
   data.dirty -= flushed;
+  CountVisits(flush_visits_, metric::kFlushEntriesVisited, visited);
   return flushed;
 }
 
@@ -243,10 +283,7 @@ void VersionedStore::TruncateAfterLocked(LoopId loop, Iteration iteration) {
         entries.begin(), entries.end(), iteration,
         [](Iteration at, const VersionEntry& e) { return at < e.iteration; });
     for (auto v = first_gone; v != entries.end(); ++v) {
-      if (!CoveredBy(v->iteration, data.durable)) {
-        TCHECK_GT(data.dirty, 0u);
-        --data.dirty;
-      }
+      ForgetDirty(data, v->iteration);
       ReleaseEntry(data, *v);
     }
     entries.erase(first_gone, entries.end());
@@ -261,24 +298,51 @@ size_t VersionedStore::PruneBelowLocked(LoopId loop, Iteration iteration) {
   auto it = loops_.find(loop);
   if (it == loops_.end()) return 0;
   LoopData& data = it->second;
-  size_t removed = 0;
-  for (auto& [vertex, chain] : data.chains) {
-    auto& entries = chain.entries;
-    auto keep = std::upper_bound(
+#ifdef TORNADO_CHECK
+  // The full scan this listing replaces: every version below the newest
+  // one at or below `iteration`.
+  size_t prunable = 0;
+  for (const auto& [vertex, chain] : data.chains) {
+    const auto& entries = chain.entries;
+    const auto at_or_below = std::upper_bound(
         entries.begin(), entries.end(), iteration,
         [](Iteration at, const VersionEntry& e) { return at < e.iteration; });
-    if (keep == entries.begin()) continue;
-    --keep;  // newest version <= iteration stays: it is the snapshot base
-    for (auto v = entries.begin(); v != keep; ++v) {
-      if (!CoveredBy(v->iteration, data.durable)) {
-        TCHECK_GT(data.dirty, 0u);
-        --data.dirty;
-      }
-      ReleaseEntry(data, *v);
-      ++removed;
+    if (at_or_below - entries.begin() > 1) {
+      prunable += static_cast<size_t>(at_or_below - entries.begin()) - 1;
     }
-    entries.erase(entries.begin(), keep);
   }
+#endif
+  size_t visited = 0;
+  size_t removed = 0;
+  while (!data.prunable.empty() && data.prunable.begin()->first <= iteration) {
+    const Iteration key = data.prunable.begin()->first;
+    const std::vector<Chain*> listed =
+        std::move(data.prunable.begin()->second);
+    data.prunable.erase(data.prunable.begin());
+    visited += listed.size();
+    for (Chain* chain : listed) {
+      if (chain->listed_at != key) continue;  // stale listing
+      chain->listed_at = kNoIteration;
+      auto& entries = chain->entries;
+      auto keep = std::upper_bound(
+          entries.begin(), entries.end(), iteration,
+          [](Iteration at, const VersionEntry& e) { return at < e.iteration; });
+      if (keep != entries.begin()) {
+        --keep;  // newest version <= iteration stays: the snapshot base
+        for (auto v = entries.begin(); v != keep; ++v) {
+          ForgetDirty(data, v->iteration);
+          ReleaseEntry(data, *v);
+          ++removed;
+        }
+        entries.erase(entries.begin(), keep);
+      }
+      ListPrunable(data, *chain);  // under a key above `iteration`
+    }
+  }
+#ifdef TORNADO_CHECK
+  TCHECK_EQ(prunable, removed) << "a prunable chain was not listed";
+#endif
+  CountVisits(prune_visits_, metric::kPruneChainsVisited, visited);
   MaybeCompact(data);
   return removed;
 }

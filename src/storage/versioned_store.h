@@ -2,11 +2,13 @@
 #define TORNADO_STORAGE_VERSIONED_STORE_H_
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "common/metrics.h"
 #include "common/mutex.h"
 #include "common/status.h"
 #include "common/types.h"
@@ -132,6 +134,12 @@ class VersionedStore {
   Guard Lock() const ACQUIRE(mu_) NO_THREAD_SAFETY_ANALYSIS {
     return Guard(thread_safe_ ? &mu_ : nullptr);
   }
+
+  /// Counts the work of Flush and PruneBelow into `metrics`
+  /// (metric::kFlushEntriesVisited, metric::kPruneChainsVisited), once per
+  /// call; each counter is interned when it is first bumped. Attach before
+  /// any concurrent access; the registry must outlive the store.
+  void AttachMetrics(MetricRegistry* metrics) { metrics_ = metrics; }
 
   /// Appends (or overwrites) the version of `vertex` at `iteration`:
   /// `value` is its iteration part, `input` its input part (shared, not
@@ -290,6 +298,10 @@ class VersionedStore {
   };
   struct Chain {
     std::vector<VersionEntry> entries;
+    // Key of the chain's current LoopData::prunable listing (kNoIteration:
+    // unlisted). While the chain holds two or more versions it is at most
+    // entries[1].iteration, so no prune that could shorten it misses it.
+    Iteration listed_at = kNoIteration;
   };
   struct InputSlot {
     InputBlob blob;     // null while the slot is free
@@ -302,6 +314,18 @@ class VersionedStore {
     uint64_t compactions = 0;
     Iteration durable = kNoIteration;
     size_t dirty = 0;
+    // Versions above the durable watermark, counted per iteration (the
+    // counts sum to `dirty`): a flush sums and erases the entries at or
+    // below its watermark instead of walking every chain.
+    std::map<Iteration, size_t> pending;
+    // Chains by the iteration of their second-oldest version: PruneBelow
+    // at `w` removes a version from a chain only if that iteration is at
+    // most `w`, so it visits only the listings with keys <= w. A listing
+    // whose key no longer matches the chain's `listed_at` is stale (the
+    // chain was relisted under a smaller key) and is skipped. Chains are
+    // named by address: map nodes do not move, and a chain is erased only
+    // together with its loop.
+    std::map<Iteration, std::vector<Chain*>> prunable;
     std::vector<InputSlot> inputs;
     std::vector<uint32_t> free_inputs;  // indices of free slots
   };
@@ -345,12 +369,22 @@ class VersionedStore {
   VersionView ViewOf(const LoopData& data, const VersionEntry& entry) const;
   uint32_t AcquireInput(LoopData& data, const Chain& chain, InputBlob input);
   void ReleaseEntry(LoopData& data, const VersionEntry& entry);
+  static void ForgetDirty(LoopData& data, Iteration iteration);
+  static void ListPrunable(LoopData& data, Chain& chain);
   void MaybeCompact(LoopData& data);
+  void CountVisits(metric::Counter*& counter, const char* name,
+                   size_t visited);
 
   // Driver-set before any concurrent access (SetThreadSafe), then read
   // by every Lock(); not guarded by design — flipping it mid-run is
   // outside the contract.
   bool thread_safe_ = false;
+  // Work counters (AttachMetrics; null when detached). Set before any
+  // concurrent access like thread_safe_; the handles are interned by
+  // CountVisits, which runs under the store lock.
+  MetricRegistry* metrics_ = nullptr;
+  metric::Counter* flush_visits_ = nullptr;
+  metric::Counter* prune_visits_ = nullptr;
   mutable RecursiveMutex mu_;
   std::unordered_map<LoopId, LoopData> loops_ GUARDED_BY(mu_);
 };

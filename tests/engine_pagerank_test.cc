@@ -118,5 +118,66 @@ TEST(PageRankEngineTest, ScriptedChainAndRetraction) {
   EXPECT_NEAR(r3, base + kDamping * r2, 1e-4);
 }
 
+/// Checks at every progress report that the engine examined no more
+/// sessions than were active (dirty or preparing) in the reported loop: a
+/// report's work follows the active set, not the loop's whole state.
+class ReportWorkProbe final : public EngineObserver {
+ public:
+  explicit ReportWorkProbe(TornadoCluster* cluster) : cluster_(cluster) {}
+
+  void OnReport(LoopId loop, uint32_t processor,
+                uint64_t sessions_visited) override {
+    const LoopState* ls = cluster_->processor(processor).sessions().Get(loop);
+    ASSERT_NE(ls, nullptr);
+    uint64_t active = 0;
+    for (const auto& [v, s] : ls->vertices) {
+      if (s.dirty || s.update_time.has_value()) ++active;
+    }
+    EXPECT_LE(sessions_visited, active)
+        << "report " << reports << " of loop " << loop << " on processor "
+        << processor << " with " << ls->vertices.size() << " sessions";
+    ++reports;
+    visited += sessions_visited;
+    sessions += ls->vertices.size();
+  }
+
+  uint64_t reports = 0;
+  uint64_t visited = 0;
+  uint64_t sessions = 0;  // summed over reports
+
+ private:
+  TornadoCluster* cluster_;
+};
+
+TEST(PageRankEngineTest, ProgressReportsVisitOnlyActiveSessions) {
+  GraphStreamOptions graph_options;
+  graph_options.num_vertices = 120;
+  graph_options.num_tuples = 800;
+  graph_options.seed = 5;
+
+  JobConfig config;
+  config.program = std::make_shared<PageRankProgram>(kDamping, 1e-4);
+  config.num_processors = 4;
+  config.num_hosts = 2;
+  config.ingest_rate = 2000.0;
+
+  TornadoCluster cluster(config, std::make_unique<GraphStream>(graph_options));
+  ReportWorkProbe probe(&cluster);
+  cluster.AddEngineObserver(&probe);
+  cluster.Start();
+  ASSERT_TRUE(cluster.RunUntilEmitted(graph_options.num_tuples, 600.0));
+  const uint64_t query = cluster.ingester().SubmitQuery();
+  ASSERT_TRUE(cluster.RunUntilQueryDone(query, 600.0));
+  cluster.RunFor(1.0);
+
+  EXPECT_GT(probe.reports, 100u);
+  EXPECT_LT(probe.visited, probe.sessions) << "reports scanned state";
+  const MetricRegistry& metrics = cluster.metrics();
+  EXPECT_EQ(metrics.Get(metric::kReportSessionsVisited),
+            static_cast<int64_t>(probe.visited));
+  EXPECT_GT(metrics.Get(metric::kFlushEntriesVisited), 0);
+  EXPECT_GT(metrics.Get(metric::kPruneChainsVisited), 0);
+}
+
 }  // namespace
 }  // namespace tornado

@@ -64,13 +64,70 @@ TEST_F(NetworkTest, DeliversMessages) {
 
 TEST_F(NetworkTest, ReliableChannelPreservesSendOrder) {
   // Latency jitter would reorder datagrams; the reliable channel must not.
-  CostModel cost;
-  cost.net_jitter = 0.9;  // heavy jitter
-  Init(2, 2, cost);
-  for (int i = 0; i < 200; ++i) Send(0, 1, i);
+  // Each input streams 200 messages under heavy jitter, so arrivals take
+  // both the in-order path and the out-of-order hold.
+  //
+  // The second input kills and recovers the receiver mid-stream. The old
+  // incarnation keeps the in-order prefix it got. The sender then migrates
+  // every message the old incarnation had not acknowledged onto a fresh
+  // channel of the same link, and the new incarnation receives those in
+  // order. Messages that were delivered but whose ack died with the
+  // receiver (41, 50, ...) arrive twice, once per incarnation. Messages
+  // the receiver held out of order and selectively acknowledged (69, 71,
+  // ...) die with it: rolling the computation back is the engine's job.
+  // Neither incarnation sees a duplicate copy on its own channel.
+  constexpr int kN = 200;
+  std::vector<int> in_order(kN);
+  for (int i = 0; i < kN; ++i) in_order[i] = i;
+  std::vector<int> crashed(in_order.begin(), in_order.begin() + 65);
+  for (int v : {41, 50, 53, 54, 57, 59, 61, 62, 64, 65, 66, 67, 68, 70, 73,
+                74}) {
+    crashed.push_back(v);
+  }
+  crashed.insert(crashed.end(), in_order.begin() + 77, in_order.end());
+
+  struct Input {
+    double kill_after;  // seconds after the first send; < 0: no failure
+    std::vector<int> delivered;
+  };
+  for (const Input& input : {Input{-1.0, in_order}, Input{1.2e-3, crashed}}) {
+    SCOPED_TRACE(input.kill_after);
+    network.reset();
+    sinks.clear();
+    CostModel cost;
+    cost.net_jitter = 0.9;  // heavy jitter
+    Init(2, 2, cost);
+    for (int i = 0; i < kN; ++i) Send(0, 1, i);
+    if (input.kill_after >= 0.0) {
+      loop.RunUntil(loop.now() + input.kill_after);
+      network->KillNode(1);
+      network->RecoverNode(1);
+    }
+    loop.Run();
+
+    std::vector<int> got;
+    for (const auto& [src, value] : sinks[1]->received) got.push_back(value);
+    EXPECT_EQ(got, input.delivered);
+    EXPECT_EQ(network->metrics().Get(metric::kMessagesDeduped), 0);
+  }
+}
+
+TEST_F(NetworkTest, NodeRegisteredAfterTrafficKeepsOpenChannels) {
+  // Registering a node regrows the channel table; channels already open
+  // keep their sequence space, so the stream continues without a gap.
+  Init(2, 2);
+  for (int i = 0; i < 5; ++i) Send(0, 1, i);
+  loop.RunUntil(loop.now() + 1e-4);  // some copies still in flight
+  auto late = std::make_unique<SinkNode>();
+  network->RegisterNode(late.get(), 0);
+  sinks.push_back(std::move(late));
+  for (int i = 5; i < 10; ++i) Send(0, 1, i);
+  Send(0, 2, 100);
   loop.Run();
-  ASSERT_EQ(sinks[1]->received.size(), 200u);
-  for (int i = 0; i < 200; ++i) EXPECT_EQ(sinks[1]->received[i].second, i);
+  ASSERT_EQ(sinks[1]->received.size(), 10u);
+  for (int i = 0; i < 10; ++i) EXPECT_EQ(sinks[1]->received[i].second, i);
+  ASSERT_EQ(sinks[2]->received.size(), 1u);
+  EXPECT_EQ(network->metrics().Get(metric::kMessagesRetransmitted), 0);
 }
 
 TEST_F(NetworkTest, InterleavedChannelsEachStayOrdered) {

@@ -6,6 +6,7 @@
 #include <memory>
 #include <string>
 
+#include "common/metrics.h"
 #include "storage/checkpoint_log.h"
 #include "storage/durable_store.h"
 #include "storage/versioned_store.h"
@@ -261,6 +262,34 @@ TEST(VersionedStoreTest, TruncateAfterRestoresDirtyAcrossDurableWatermark) {
   // A re-put above the lowered watermark counts as dirty again.
   store.Put(0, 1, 2, Bytes({22}));
   EXPECT_EQ(store.DirtyVersions(0), 1u);
+}
+
+TEST(VersionedStoreTest, FlushAndPruneVisitOnlyWhatTheyChange) {
+  // 100 single-version chains plus one chain with versions at 3, 5 and 8.
+  MetricRegistry metrics;
+  VersionedStore store;
+  store.AttachMetrics(&metrics);
+  for (VertexId v = 0; v < 100; ++v) store.Put(0, v, 1, Bytes({1}));
+  for (Iteration i : {3, 5, 8}) store.Put(0, 100, i, Bytes({2}));
+
+  // Flush sums the per-iteration counts at or below its watermark:
+  // iterations 1, 3 and 5, not 101 chains.
+  EXPECT_EQ(store.Flush(0, 5), 102u);
+  EXPECT_EQ(metrics.Get(metric::kFlushEntriesVisited), 3);
+  EXPECT_EQ(store.DirtyVersions(0), 1u);
+
+  // A prune below the multi-version chain's second version visits nothing;
+  // one at or above it visits that chain only.
+  EXPECT_EQ(store.PruneBelow(0, 4), 0u);
+  EXPECT_EQ(metrics.Get(metric::kPruneChainsVisited), 0);
+  EXPECT_EQ(store.PruneBelow(0, 6), 1u);
+  EXPECT_EQ(metrics.Get(metric::kPruneChainsVisited), 1);
+  // Relisted under its new second version (8).
+  EXPECT_EQ(store.PruneBelow(0, 7), 0u);
+  EXPECT_EQ(metrics.Get(metric::kPruneChainsVisited), 1);
+  EXPECT_EQ(store.PruneBelow(0, 8), 1u);
+  EXPECT_EQ(metrics.Get(metric::kPruneChainsVisited), 2);
+  EXPECT_EQ(store.TotalVersions(), 101u);
 }
 
 TEST(VersionedStoreTest, ForkMergeRoundTripSurvivesArenaCompaction) {

@@ -2,7 +2,10 @@
 // operation sequence is mirrored into a trivially-correct reference model
 // (map of maps) and both must agree on every read — iteration bytes and
 // input blob, which puts draw fresh or reuse from earlier puts — including
-// after flush, truncate, prune, fork, merge, recover and drop.
+// after flush, truncate, prune, fork, merge, recover and drop. They must
+// also agree on what Flush and PruneBelow return and on the dirty and
+// total version counts after every operation, since the store keeps those
+// incrementally rather than by scanning its chains.
 
 #include <gtest/gtest.h>
 
@@ -43,10 +46,41 @@ class StoreModel {
     return &std::prev(it)->second;
   }
 
-  void Flush(LoopId loop, Iteration iter) {
-    if (data_.count(loop) == 0) return;  // the store flushes no absent loop
-    Iteration& durable = durable_[loop];
-    durable = std::max(durable, iter + 1);  // stored +1: 0 = never flushed
+  // Versions that became durable.
+  size_t Flush(LoopId loop, Iteration iter) {
+    auto l = data_.find(loop);
+    if (l == data_.end()) return 0;  // the store flushes no absent loop
+    Iteration& durable = durable_[loop];  // stored +1: 0 = never flushed
+    if (durable > iter) return 0;
+    size_t flushed = 0;
+    for (const auto& [vertex, chain] : l->second) {
+      for (const auto& [it, version] : chain) {
+        if (it <= iter && it >= durable) ++flushed;
+      }
+    }
+    durable = iter + 1;
+    return flushed;
+  }
+
+  // Versions above the durable watermark.
+  size_t DirtyVersions(LoopId loop) const {
+    auto l = data_.find(loop);
+    if (l == data_.end()) return 0;
+    auto d = durable_.find(loop);
+    const Iteration durable = d == durable_.end() ? 0 : d->second;
+    size_t dirty = 0;
+    for (const auto& [vertex, chain] : l->second) {
+      for (const auto& [it, version] : chain) dirty += it >= durable ? 1 : 0;
+    }
+    return dirty;
+  }
+
+  size_t TotalVersions() const {
+    size_t total = 0;
+    for (const auto& [loop, vertices] : data_) {
+      for (const auto& [vertex, chain] : vertices) total += chain.size();
+    }
+    return total;
   }
 
   void RecoverToDurable(LoopId loop) {
@@ -74,15 +108,19 @@ class StoreModel {
     }
   }
 
-  void PruneBelow(LoopId loop, Iteration iter) {
+  // Versions removed.
+  size_t PruneBelow(LoopId loop, Iteration iter) {
     auto l = data_.find(loop);
-    if (l == data_.end()) return;
+    if (l == data_.end()) return 0;
+    size_t removed = 0;
     for (auto& [vertex, chain] : l->second) {
       auto keep = chain.upper_bound(iter);
       if (keep == chain.begin()) continue;
       --keep;
+      removed += static_cast<size_t>(std::distance(chain.begin(), keep));
       chain.erase(chain.begin(), keep);
     }
+    return removed;
   }
 
   void Fork(LoopId src, Iteration iter, LoopId dst) {
@@ -149,8 +187,24 @@ TEST_P(StoreModelTest, RandomOpsAgreeWithModel) {
         model.Put(loop, vertex, iter, value, input);
         break;
       }
+      case 86:
+      case 87: {  // overwrite or insert below the newest version
+        const Iteration iter = rng.NextUint64(max_iter[loop] + 1);
+        const std::vector<uint8_t> value = {static_cast<uint8_t>(op & 0xFF)};
+        const InputBlob input = blobs[rng.NextUint64(blobs.size())];
+        store.Put(loop, vertex, iter, value, input);
+        model.Put(loop, vertex, iter, value, input);
+        break;
+      }
+      case 88:
+      case 89: {  // flush: the return value is the checkpoint's cost
+        const Iteration at = rng.NextUint64(max_iter[loop] + 2);
+        ASSERT_EQ(store.Flush(loop, at), model.Flush(loop, at))
+            << "op " << op << " loop " << loop << " at " << at;
+        break;
+      }
       case 90:
-      case 91: {
+      case 91: {  // often below the durable watermark
         const Iteration at = rng.NextUint64(max_iter[loop] + 2);
         store.TruncateAfter(loop, at);
         model.TruncateAfter(loop, at);
@@ -159,8 +213,8 @@ TEST_P(StoreModelTest, RandomOpsAgreeWithModel) {
       case 92:
       case 93: {
         const Iteration at = rng.NextUint64(max_iter[loop] + 2);
-        store.PruneBelow(loop, at);
-        model.PruneBelow(loop, at);
+        ASSERT_EQ(store.PruneBelow(loop, at), model.PruneBelow(loop, at))
+            << "op " << op << " loop " << loop << " at " << at;
         break;
       }
       case 94: {
@@ -183,8 +237,8 @@ TEST_P(StoreModelTest, RandomOpsAgreeWithModel) {
       }
       case 96: {
         const Iteration at = rng.NextUint64(max_iter[loop] + 2);
-        store.Flush(loop, at);
-        model.Flush(loop, at);
+        ASSERT_EQ(store.Flush(loop, at), model.Flush(loop, at))
+            << "op " << op << " loop " << loop << " at " << at;
         break;  // durability watermark must not affect reads
       }
       case 97: {
@@ -197,6 +251,12 @@ TEST_P(StoreModelTest, RandomOpsAgreeWithModel) {
         model.Drop(loop);
         break;
       }
+    }
+
+    ASSERT_EQ(store.TotalVersions(), model.TotalVersions()) << "op " << op;
+    for (LoopId l = 0; l < kLoops; ++l) {
+      ASSERT_EQ(store.DirtyVersions(l), model.DirtyVersions(l))
+          << "op " << op << " loop " << l;
     }
 
     // Spot-check reads after every mutation.
