@@ -7,11 +7,11 @@
 //      convergence-detection latency;
 //  (c) the no-op commit-notification protocol — message amplification the
 //      full-fan-out commit contract costs, measured as messages per
-//      committed update;
-//  (d) the consistency policy — synchronous (Δ=1) vs. bounded-async vs.
-//      fully-async execution of the same job (Table 2's axis), selected
-//      via JobConfig::consistency and measured through the engine
-//      observer's #updates / #prepares / #blocked counters.
+//      committed update.
+//
+// The delay bound is the one consistency setting, so (a) also covers Table
+// 2's axis: its B = 1 row is synchronous execution (no prepares) and its
+// B = 4096 row blocks no update.
 
 #include <memory>
 
@@ -34,10 +34,8 @@ struct Run {
   uint64_t blocked = 0;
 };
 
-Run RunOnce(uint64_t bound, double progress_period,
-            ConsistencyMode mode = ConsistencyMode::kBoundedAsync) {
+Run RunOnce(uint64_t bound, double progress_period) {
   JobConfig config = SsspJob(bound, /*batch_mode=*/true);
-  config.consistency = mode;
   config.cost.progress_period = progress_period;
   TornadoCluster cluster(config,
                          std::make_unique<GraphStream>(BenchGraph(kTuples)));
@@ -96,23 +94,6 @@ void Ablate() {
         static_cast<unsigned long long>(run.messages),
         static_cast<unsigned long long>(run.updates));
   }
-
-  std::printf(
-      "\n(d) consistency policy sweep (Table 2's synchronous / bounded /\n"
-      "    fully-asynchronous axis; B = 8 where the bound applies)\n");
-  Table modes({"policy", "branch latency (s)", "#updates", "#prepares",
-               "blocked updates"});
-  const std::pair<const char*, ConsistencyMode> kModes[] = {
-      {"synchronous", ConsistencyMode::kSynchronous},
-      {"bounded-async", ConsistencyMode::kBoundedAsync},
-      {"fully-async", ConsistencyMode::kFullyAsync},
-  };
-  for (const auto& [name, mode] : kModes) {
-    Run run = RunOnce(8, 5e-3, mode);
-    modes.AddRow({name, Table::Num(run.latency, 3), Table::Int(run.updates),
-                  Table::Int(run.prepares), Table::Int(run.blocked)});
-  }
-  modes.Print();
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 // termination round); the asynchronous loops run far more, much shorter
 // iterations.
 
+#include <cinttypes>
 #include <memory>
 #include <vector>
 
@@ -55,8 +56,8 @@ void Run() {
 
   for (uint64_t bound : {1u, 256u, 65536u}) {
     IterationSeries series = RunBound(bound);
-    std::printf("delay bound %u: %zu iterations, total %.3f s\n", bound,
-                series.per_iteration_ms.size(), series.total);
+    std::printf("delay bound %" PRIu64 ": %zu iterations, total %.3f s\n",
+                bound, series.per_iteration_ms.size(), series.total);
     Table table({"iteration", "running time (ms)"});
     const size_t n = series.per_iteration_ms.size();
     // Log-spaced samples, mirroring the paper's log-scale x axis.

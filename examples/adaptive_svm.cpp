@@ -96,6 +96,10 @@ int main() {
   }
   auto branch_state =
       cluster.ReadVertexState(cluster.BranchOf(query), kSgdParamVertex);
+  if (branch_state == nullptr) {
+    std::fprintf(stderr, "branch loop has no model\n");
+    return 1;
+  }
   const auto& polished = static_cast<const SgdParamState&>(*branch_state);
   std::printf("polished model ~ truth cosine=%.3f (branch latency %.3fs)\n",
               CosineSimilarity(polished.weights, truth->true_weights()),

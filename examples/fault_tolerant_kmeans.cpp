@@ -83,26 +83,34 @@ int main() {
 
   // Persist the converged centroids to a real on-disk checkpoint log and
   // replay it into a fresh store — durability across *process* restarts.
-  const std::string path = "/tmp/tornado_kmeans_checkpoint.log";
+  // The log goes in the working directory, so concurrent runs from
+  // different directories never share it.
+  const std::string path = "tornado_kmeans_checkpoint.log";
   std::remove(path.c_str());
   CheckpointLog log;
-  if (log.Open(path).ok()) {
-    for (uint32_t k = 0; k < kmeans.num_clusters; ++k) {
-      const VersionView blob =
-          cluster.store().GetLatest(branch, KMeansCentroidVertex(k));
-      if (blob) {
-        (void)log.Append(branch, KMeansCentroidVertex(k), 0, blob.data(),
-                         blob.size());
-      }
-    }
-    (void)log.Close();
-
-    VersionedStore restored;
-    CheckpointLog reader;
-    auto applied = reader.Replay(path, &restored);
-    std::printf("checkpoint log: %zu centroid records survive a restart\n",
-                applied.ok() ? *applied : 0);
-    std::remove(path.c_str());
+  if (!log.Open(path).ok()) {
+    std::fprintf(stderr, "cannot open %s\n", path.c_str());
+    return 1;
   }
+  for (uint32_t k = 0; k < kmeans.num_clusters; ++k) {
+    const VersionView blob =
+        cluster.store().GetLatest(branch, KMeansCentroidVertex(k));
+    if (blob) {
+      (void)log.Append(branch, KMeansCentroidVertex(k), 0, blob.data(),
+                       blob.size());
+    }
+  }
+  (void)log.Close();
+
+  VersionedStore restored;
+  CheckpointLog reader;
+  auto applied = reader.Replay(path, &restored);
+  std::remove(path.c_str());
+  if (!applied.ok() || *applied != kmeans.num_clusters) {
+    std::fprintf(stderr, "checkpoint log replay lost records\n");
+    return 1;
+  }
+  std::printf("checkpoint log: %zu centroid records survive a restart\n",
+              *applied);
   return 0;
 }

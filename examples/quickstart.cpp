@@ -72,7 +72,10 @@ int main() {
   // a fresh snapshot, no dependency on the earlier query.
   cluster.RunUntilEmitted(stream_options.num_tuples, 600.0);
   const uint64_t q2 = cluster.ingester().SubmitQuery();
-  cluster.RunUntilQueryDone(q2, 600.0);
+  if (!cluster.RunUntilQueryDone(q2, 600.0)) {
+    std::fprintf(stderr, "query 2 did not converge\n");
+    return 1;
+  }
   std::printf("query 2 converged in %.3f virtual seconds\n",
               cluster.QueryLatency(q2));
 

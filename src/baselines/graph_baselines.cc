@@ -165,7 +165,6 @@ void PageRankBaseline::Ingest(const StreamTuple& tuple) {
 BaselineResult PageRankBaseline::Query() {
   BaselineResult result;
   const double w = static_cast<double>(cost_.workers);
-  const uint64_t edges = graph_.NumEdges();
   const uint64_t vertices = graph_.NumVertices();
 
   const bool from_scratch = model_ == ExecutionModel::kSparkLike ||

@@ -44,21 +44,6 @@ using InputRouter =
     std::function<void(const StreamTuple& tuple,
                        std::vector<std::pair<VertexId, Delta>>* out)>;
 
-/// Execution-model variants of the bounded asynchronous iteration model
-/// (Section 4.4 / Table 2), selected per job and implemented as
-/// ConsistencyPolicy strategies in engine/consistency_policy.h.
-enum class ConsistencyMode {
-  /// Commits confined to [τ, τ+B−1] with B = JobConfig::delay_bound
-  /// (the paper's default model).
-  kBoundedAsync,
-  /// Δ = 1: lock-step BSP barriers; every update waits for its iteration
-  /// to terminate, and no PREPARE traffic is needed.
-  kSynchronous,
-  /// Δ = ∞: updates are never blocked at a bound (the paper's B = 65536
-  /// "effectively unbounded" setting, taken to its limit).
-  kFullyAsync,
-};
-
 /// Which runtime substrate the cluster runs on (docs/RUNTIME.md).
 enum class SubstrateBackend {
   /// Discrete-event simulation: virtual clock, deterministic, the
@@ -78,13 +63,10 @@ struct JobConfig {
   InputRouter router;
 
   /// Delay bound B of the bounded asynchronous iteration model
-  /// (Section 4.4). B = 1 degenerates to synchronous execution. Only
-  /// consulted when `consistency` is kBoundedAsync.
+  /// (Section 4.4), the one consistency setting: B = 1 degenerates to
+  /// synchronous execution, Table 2's "unbounded" row is B = 65536, and
+  /// B = 0 means 1 (engine/consistency_policy.h).
   uint64_t delay_bound = 64;
-
-  /// Which ConsistencyPolicy the engine runs under (Section 4.4's axis:
-  /// synchronous / bounded / fully asynchronous).
-  ConsistencyMode consistency = ConsistencyMode::kBoundedAsync;
 
   /// Convergence policy applied to branch loops.
   ConvergencePolicy convergence;

@@ -21,7 +21,7 @@ Master::Master(const JobConfig* config, VersionedStore* store,
       store_(store),
       first_processor_node_(first_processor_node),
       ingester_node_(ingester_node),
-      policy_(MakeConsistencyPolicy(*config)) {
+      policy_(config->delay_bound) {
   LoopControl main;
   main.loop = kMainLoop;
   main.latest.resize(config_->num_processors);
@@ -418,7 +418,7 @@ void Master::MergeBranch(LoopControl& branch) {
   LoopControl& main = main_it->second;
   const Iteration tau =
       main.last_terminated == kNoIteration ? 0 : main.last_terminated + 1;
-  const Iteration merge_iteration = policy_->MergeIteration(tau);
+  const Iteration merge_iteration = policy_.MergeIteration(tau);
   store_->MergeLoop(branch.loop, kMainLoop, merge_iteration);
   if (trace_ != nullptr) {
     trace_->Instant(trace_cat::kMaster, "merge_branch", id(),

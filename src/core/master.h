@@ -138,7 +138,7 @@ class Master : public Node {
   NodeId first_processor_node_;
   NodeId ingester_node_;
   /// Where branch merges land relative to τ (engine/consistency_policy.h).
-  std::unique_ptr<ConsistencyPolicy> policy_;
+  ConsistencyPolicy policy_;
   std::map<LoopId, LoopControl> loops_;
   std::vector<QueryRecord> queries_;
   /// Queries awaiting a branch slot: (query id, submit time).

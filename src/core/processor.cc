@@ -17,10 +17,8 @@ Processor::Processor(uint32_t index, const JobConfig* config,
       partitioner_(partitioner),
       master_node_(master_node),
       first_processor_node_(first_processor_node),
-      policy_(MakeConsistencyPolicy(*config)),
       sessions_(config, store),
-      machine_(index, config, &sessions_, policy_.get(), partitioner,
-               observer) {}
+      machine_(index, config, &sessions_, partitioner, observer) {}
 
 void Processor::Start() {
   if (started_) return;

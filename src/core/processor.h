@@ -5,7 +5,6 @@
 
 #include "core/config.h"
 #include "core/messages.h"
-#include "engine/consistency_policy.h"
 #include "engine/observer.h"
 #include "engine/protocol.h"
 #include "engine/session_table.h"
@@ -18,13 +17,13 @@ namespace tornado {
 /// A worker node of the simulated Tornado cluster.
 ///
 /// Thin transport adapter over the engine layer (Section 5.1): the
-/// SessionTable owns this partition's per-(loop, vertex) sessions, the
-/// ProtocolStateMachine runs the three-phase update protocol, and the
-/// ConsistencyPolicy decides how far asynchrony may run ahead. This class
-/// only binds them to the event loop — it routes delivered messages into
-/// the state machine, transmits the actions it returns (resolving vertex
-/// ids to owning nodes), charges the accumulated virtual CPU cost, and
-/// drives the periodic progress-report timer.
+/// SessionTable owns this partition's per-(loop, vertex) sessions and the
+/// ProtocolStateMachine runs the three-phase update protocol under the
+/// job's delay bound. This class only binds them to the event loop — it
+/// routes delivered messages into the state machine, transmits the
+/// actions it returns (resolving vertex ids to owning nodes), charges the
+/// accumulated virtual CPU cost, and drives the periodic progress-report
+/// timer.
 class Processor : public Node {
  public:
   Processor(uint32_t index, const JobConfig* config, VersionedStore* store,
@@ -59,7 +58,6 @@ class Processor : public Node {
   HashPartitioner partitioner_;
   NodeId master_node_;
   NodeId first_processor_node_;
-  std::unique_ptr<ConsistencyPolicy> policy_;
   SessionTable sessions_;
   ProtocolStateMachine machine_;
   bool started_ = false;

@@ -110,13 +110,12 @@ void SyncActive(LoopState& ls, VertexSession& s) {
 ProtocolStateMachine::ProtocolStateMachine(uint32_t index,
                                            const JobConfig* config,
                                            SessionTable* sessions,
-                                           const ConsistencyPolicy* policy,
                                            HashPartitioner partitioner,
                                            EngineObserver* observer)
     : index_(index),
       config_(config),
       sessions_(sessions),
-      policy_(policy),
+      policy_(config->delay_bound),
       partitioner_(partitioner),
       observer_(observer != nullptr ? observer : NullObserver()),
       clock_(index + 1) {}
@@ -329,7 +328,7 @@ void ProtocolStateMachine::HandleUpdate(const UpdateMsg& msg,
   }
   ls->buckets[msg.iteration].owned++;
   VertexSession& s = GetOrCreateVertex(*ls, msg.dst_vertex);
-  if (policy_->ShouldBlock(msg.iteration, ls->tau)) {
+  if (policy_.ShouldBlock(msg.iteration, ls->tau)) {
     // Delay-bound enforcement (Section 4.4): updates of iteration
     // tau + B - 1 are gathered only once iteration tau terminates.
     ls->blocked[msg.iteration].push_back(
@@ -618,7 +617,7 @@ void ProtocolStateMachine::ReleaseBlocked(LoopState& ls, EngineActions* out) {
   const BatchVertexProgram* batch_prog = config_->program->AsBatch();
   // Updates with iteration <= tau + B - 2 are now gatherable.
   while (!ls.blocked.empty() &&
-         !policy_->ShouldBlock(ls.blocked.begin()->first, ls.tau)) {
+         !policy_.ShouldBlock(ls.blocked.begin()->first, ls.tau)) {
     std::vector<BlockedUpdate> batch = std::move(ls.blocked.begin()->second);
     ls.blocked.erase(ls.blocked.begin());
     size_t i = 0;

@@ -52,9 +52,7 @@ struct EngineActions {
 class ProtocolStateMachine {
  public:
   ProtocolStateMachine(uint32_t index, const JobConfig* config,
-                       SessionTable* sessions,
-                       const ConsistencyPolicy* policy,
-                       HashPartitioner partitioner,
+                       SessionTable* sessions, HashPartitioner partitioner,
                        EngineObserver* observer);
 
   /// Routes one engine message into the protocol, appending the resulting
@@ -78,11 +76,10 @@ class ProtocolStateMachine {
 
   /// Highest iteration a commit may land at in `ls` right now.
   Iteration BoundIteration(const LoopState& ls) const {
-    return policy_->CommitHorizon(ls.tau);
+    return policy_.CommitHorizon(ls.tau);
   }
 
   SessionTable& sessions() { return *sessions_; }
-  const ConsistencyPolicy& policy() const { return *policy_; }
 
   /// Logs the protocol state of every session (debugging aid for tests).
   void DumpState() const;
@@ -149,7 +146,7 @@ class ProtocolStateMachine {
   uint32_t index_;
   const JobConfig* config_;
   SessionTable* sessions_;
-  const ConsistencyPolicy* policy_;
+  ConsistencyPolicy policy_;
   HashPartitioner partitioner_;
   EngineObserver* observer_;  // never null (defaults to a no-op)
   LamportClock clock_;

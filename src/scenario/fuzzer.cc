@@ -57,7 +57,7 @@ Scenario MutateScenario(const Scenario& base, Rng* rng) {
 
   const uint32_t mutations = 1 + static_cast<uint32_t>(rng->NextUint64(3));
   for (uint32_t i = 0; i < mutations; ++i) {
-    switch (rng->NextUint64(8)) {
+    switch (rng->NextUint64(7)) {
       case 0:
         // Staleness bound, log-uniform over the schema's interesting
         // range (1 = synchronous degenerate ... 65536 = effectively
@@ -65,28 +65,15 @@ Scenario MutateScenario(const Scenario& base, Rng* rng) {
         m.consistency.delay_bound = uint64_t{1} << rng->NextUint64(17);
         break;
       case 1:
-        switch (rng->NextUint64(3)) {
-          case 0:
-            m.consistency.mode = ConsistencyMode::kBoundedAsync;
-            break;
-          case 1:
-            m.consistency.mode = ConsistencyMode::kSynchronous;
-            break;
-          default:
-            m.consistency.mode = ConsistencyMode::kFullyAsync;
-            break;
-        }
-        break;
-      case 2:
         m.workload.rate = std::clamp(
             m.workload.rate * rng->NextDouble(0.25, 4.0), 1.0, 1e6);
         break;
-      case 3: {
+      case 2: {
         static constexpr uint32_t kBatches[] = {1, 5, 10, 20, 50};
         m.workload.batch = kBatches[rng->NextUint64(5)];
         break;
       }
-      case 4: {
+      case 3: {
         const double scaled =
             static_cast<double>(m.workload.tuples) * rng->NextDouble(0.5, 2.0);
         m.workload.tuples = static_cast<uint64_t>(
@@ -96,13 +83,13 @@ Scenario MutateScenario(const Scenario& base, Rng* rng) {
         }
         break;
       }
-      case 5: {
+      case 4: {
         const std::vector<CostKnob> knobs = MutableCostKnobs();
         const CostKnob& knob = knobs[rng->NextUint64(knobs.size())];
         m.cost[knob.name] = knob.default_value * rng->NextDouble(0.5, 2.0);
         break;
       }
-      case 6: {
+      case 5: {
         if (m.timeline.empty()) break;
         const size_t idx = rng->NextUint64(m.timeline.size());
         switch (rng->NextUint64(3)) {

@@ -325,19 +325,6 @@ void ParseConsistencySection(const JsonValue& value, const std::string& path,
                              Errors* errors, ScenarioConsistency* out) {
   ObjectReader reader(value, path, errors);
   if (!reader.valid()) return;
-  std::string mode;
-  reader.ReadString("mode", &mode);
-  if (mode == "bounded_async") {
-    out->mode = ConsistencyMode::kBoundedAsync;
-  } else if (mode == "synchronous") {
-    out->mode = ConsistencyMode::kSynchronous;
-  } else if (mode == "fully_async") {
-    out->mode = ConsistencyMode::kFullyAsync;
-  } else if (!mode.empty()) {
-    errors->Add(reader.MemberPath("mode"),
-                "unknown mode \"" + mode +
-                    "\" (want bounded_async, synchronous or fully_async)");
-  }
   uint64_t bound = out->delay_bound;
   if (reader.ReadUint("delay_bound", &bound)) {
     if (bound < 1 || bound > 1000000) {
@@ -646,18 +633,6 @@ const char* ActionKindName(TimelineAction::Kind kind) {
   return "?";
 }
 
-const char* ConsistencyModeName(ConsistencyMode mode) {
-  switch (mode) {
-    case ConsistencyMode::kBoundedAsync:
-      return "bounded_async";
-    case ConsistencyMode::kSynchronous:
-      return "synchronous";
-    case ConsistencyMode::kFullyAsync:
-      return "fully_async";
-  }
-  return "?";
-}
-
 bool ParseScenario(const JsonValue& root, Scenario* out,
                    std::vector<std::string>* errors) {
   errors->clear();
@@ -803,8 +778,6 @@ JsonValue ScenarioToJson(const Scenario& s) {
   root.Add("workload", std::move(workload));
 
   JsonValue consistency = JsonValue::MakeObject();
-  consistency.Add("mode", JsonValue::Of(std::string(ConsistencyModeName(
-                              s.consistency.mode))));
   consistency.Add("delay_bound", JsonValue::Of(static_cast<double>(
                                      s.consistency.delay_bound)));
   root.Add("consistency", std::move(consistency));
@@ -891,7 +864,6 @@ JsonValue ScenarioToJson(const Scenario& s) {
 JobConfig ScenarioJobConfig(const Scenario& s) {
   JobConfig config;
   config.delay_bound = s.consistency.delay_bound;
-  config.consistency = s.consistency.mode;
   config.num_processors = s.cluster.processors;
   config.num_hosts = s.cluster.hosts;
   config.processor_speeds = s.cluster.processor_speeds;

@@ -14,7 +14,7 @@ namespace tornado {
 namespace scenario {
 
 /// Declarative description of one complete Tornado run (docs/SCENARIOS.md):
-/// cluster shape, cost-model knobs, workload mix, consistency mode, and a
+/// cluster shape, cost-model knobs, workload mix, delay bound, and a
 /// scripted failure/recovery timeline. A scenario is a data artifact — the
 /// checked-in scenarios/ corpus, the fuzzer's repro files and the figure
 /// benches all share this schema, and ScenarioRunner compiles any valid
@@ -88,9 +88,8 @@ struct ScenarioWorkload {
   uint64_t stream_seed = 42;
 };
 
-/// Consistency mode plus the staleness bound of the bounded-async model.
+/// The staleness bound B of the bounded asynchronous iteration model.
 struct ScenarioConsistency {
-  ConsistencyMode mode = ConsistencyMode::kBoundedAsync;
   uint64_t delay_bound = 16;
 };
 
@@ -140,7 +139,6 @@ struct Scenario {
 
 const char* WorkloadKindName(ScenarioWorkload::Kind kind);
 const char* ActionKindName(TimelineAction::Kind kind);
-const char* ConsistencyModeName(ConsistencyMode mode);
 
 /// Parses and validates a scenario document. Returns true on success;
 /// otherwise `*errors` lists every problem found, each prefixed with its

@@ -9,7 +9,6 @@
 #include <cmath>
 #include <memory>
 
-#include "algos/connected_components.h"
 #include "algos/kmeans.h"
 #include "algos/pagerank.h"
 #include "algos/sgd.h"
@@ -669,66 +668,6 @@ TEST(SgdUnitTest, ShardReservoirIsTheInputPart) {
             (std::vector<std::pair<uint32_t, double>>{{0, 2.0}, {2, 0.5}}));
   EXPECT_EQ(shard.seen, 3u);
   EXPECT_EQ(InputPart(shard), input);
-}
-
-// ---------------------------------------------------------------------------
-// Connected components
-// ---------------------------------------------------------------------------
-
-TEST(CcUnitTest, LabelIsMinOfSelfAndNeighbors) {
-  ConnectedComponentsProgram program;
-  auto state = program.CreateState(5);
-  FakeContext ctx(5, kMainLoop, state.get());
-  VertexUpdate label;
-  label.values = {3.0};
-  EXPECT_TRUE(program.OnUpdate(ctx, 8, 0, label));
-  EXPECT_EQ(static_cast<ComponentState&>(*state).label, 3u);
-  label.values = {7.0};
-  EXPECT_TRUE(program.OnUpdate(ctx, 9, 0, label));  // stored, not adopted
-  EXPECT_EQ(static_cast<ComponentState&>(*state).label, 3u);
-}
-
-TEST(CcUnitTest, EdgeDeltaRoutesToBothEndpoints) {
-  auto router = ConnectedComponentsProgram::MakeRouter();
-  std::vector<std::pair<VertexId, Delta>> out;
-  StreamTuple tuple;
-  tuple.sequence = 0;
-  tuple.delta = EdgeDelta{3, 9, 1.0, true};
-  router(tuple, &out);
-  ASSERT_EQ(out.size(), 2u);
-  EXPECT_EQ(out[0].first, 3u);
-  EXPECT_EQ(out[1].first, 9u);
-}
-
-TEST(CcUnitTest, ScatterSuppressesUnchangedLabel) {
-  ConnectedComponentsProgram program;
-  auto state = program.CreateState(5);
-  FakeContext ctx(5, kMainLoop, state.get());
-  program.OnInput(ctx, EdgeDelta{5, 9, 1.0, true});
-  program.Scatter(ctx);
-  ASSERT_EQ(ctx.emissions.size(), 1u);
-  ctx.FinishCommit();
-  program.Scatter(ctx);
-  EXPECT_TRUE(ctx.emissions.empty());
-  program.OnRestore(state.get());
-  program.Scatter(ctx);
-  EXPECT_EQ(ctx.emissions.size(), 1u);
-}
-
-TEST(CcUnitTest, StateSerializationRoundTrips) {
-  ConnectedComponentsProgram program;
-  auto state = program.CreateState(5);
-  auto& cc = static_cast<ComponentState&>(*state);
-  cc.label = 2;
-  cc.neighbors[9] = 2;
-  cc.neighbor_labels[9] = 2;
-  cc.last_sent[9] = 2;
-  auto restored = RoundTrip(program, *state);
-  const auto& got = static_cast<ComponentState&>(*restored);
-  EXPECT_EQ(got.label, 2u);
-  EXPECT_EQ(got.neighbors, cc.neighbors);
-  EXPECT_EQ(got.neighbor_labels, cc.neighbor_labels);
-  EXPECT_EQ(got.last_sent, cc.last_sent);
 }
 
 }  // namespace

@@ -12,7 +12,6 @@
 #include "core/config.h"
 #include "core/messages.h"
 #include "core/vertex_program.h"
-#include "engine/consistency_policy.h"
 #include "engine/observer.h"
 #include "engine/protocol.h"
 #include "engine/session_table.h"
@@ -111,16 +110,12 @@ class RecordingObserver : public EngineObserver {
 
 class Harness {
  public:
-  explicit Harness(uint64_t delay_bound = 8,
-                   ConsistencyMode mode = ConsistencyMode::kBoundedAsync) {
+  explicit Harness(uint64_t delay_bound = 8) {
     config_.program = std::make_shared<TestProgram>();
     config_.delay_bound = delay_bound;
-    config_.consistency = mode;
     config_.num_processors = 1;
-    policy_ = MakeConsistencyPolicy(config_);
     sm_ = std::make_unique<ProtocolStateMachine>(
-        /*index=*/0, &config_, &sessions_, policy_.get(),
-        HashPartitioner(1), &observer_);
+        /*index=*/0, &config_, &sessions_, HashPartitioner(1), &observer_);
   }
 
   EngineActions Dispatch(const Payload& msg) {
@@ -180,7 +175,6 @@ class Harness {
   JobConfig config_;
   VersionedStore store_;
   SessionTable sessions_{&config_, &store_};
-  std::unique_ptr<ConsistencyPolicy> policy_;
   RecordingObserver observer_;
   std::unique_ptr<ProtocolStateMachine> sm_;
 };
@@ -427,7 +421,7 @@ TEST(ProtocolStateMachineTest, OrphanReplayAndStaleDiscardAcrossRestart) {
 }
 
 TEST(ProtocolStateMachineTest, SynchronousPolicyRunsLockStepWithoutPrepares) {
-  Harness h(/*delay_bound=*/64, ConsistencyMode::kSynchronous);
+  Harness h(/*delay_bound=*/1);
 
   // With delta = 1 the input's iteration-1 work exceeds the horizon (tau =
   // 0, bound = 0): the vertex stalls until iteration 0 terminates.
@@ -455,33 +449,6 @@ TEST(ProtocolStateMachineTest, SynchronousPolicyRunsLockStepWithoutPrepares) {
   EXPECT_EQ(h.observer_.commits[1].vertex, 2u);
   EXPECT_EQ(h.observer_.prepares, 0u);
   EXPECT_DOUBLE_EQ(h.ValueOf(kMainLoop, 2), 5.0);
-}
-
-TEST(ProtocolStateMachineTest, FullyAsyncPolicyNeverBlocksOrStalls) {
-  Harness h(/*delay_bound=*/64, ConsistencyMode::kFullyAsync);
-
-  // An update far beyond any terminated iteration is gathered immediately:
-  // there is no delay bound to buffer it at.
-  UpdateMsg far;
-  far.loop = kMainLoop;
-  far.src_vertex = 9;
-  far.dst_vertex = 2;
-  far.iteration = 1000;
-  far.update.kind = 1;
-  far.update.values = {2.0};
-  h.Dispatch(far);
-  EXPECT_EQ(h.observer_.blocks, 0u);
-  ASSERT_EQ(h.observer_.commits.size(), 1u);
-  EXPECT_EQ(h.observer_.commits[0].iteration, 1001u);
-  EXPECT_TRUE(h.sessions_.Get(kMainLoop)->stalled.empty());
-
-  // Multi-consumer commits still run the full prepare round (the horizon
-  // is unreachable, so the commit-at-bound shortcut never fires).
-  EngineActions out = h.Input(1, EdgeDelta{1, 2, 9.0, true});
-  EXPECT_EQ(MsgsOf<PrepareMsg>(out).size(), 1u);
-  h.PumpToQuiescence(out);
-  EXPECT_EQ(h.observer_.blocks, 0u);
-  EXPECT_DOUBLE_EQ(h.ValueOf(kMainLoop, 2), 9.0);
 }
 
 TEST(ProtocolStateMachineTest, BuildReportFlushesDirtyVersions) {

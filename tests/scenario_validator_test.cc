@@ -48,10 +48,11 @@ TEST(ScenarioValidatorTest, UnknownFieldIsRejectedWithItsPath) {
       << Join(errors);
 }
 
-// Scenarios run on the sim backend only; the schema has no backend or
-// shard-count knob, so either key is an unknown field whatever its value
-// (even the sim backend's own name).
-TEST(ScenarioValidatorTest, BackendAndShardsKeysAreUnknownFields) {
+// Scenarios run on the sim backend only, and the delay bound is their one
+// consistency setting; the schema has no backend, shard-count or
+// consistency-mode knob, so each key is an unknown field whatever its
+// value (even the sim backend's own name).
+TEST(ScenarioValidatorTest, RemovedKnobsAreUnknownFields) {
   const std::string workload =
       R"("workload": {"kind": "sssp", "tuples": 4000, "rate": 10000})";
   const struct {
@@ -60,6 +61,8 @@ TEST(ScenarioValidatorTest, BackendAndShardsKeysAreUnknownFields) {
   } cases[] = {
       {R"("backend": "sim")", "scenario.backend: unknown field"},
       {R"("shards": 4)", "scenario.shards: unknown field"},
+      {R"("consistency": {"mode": "fully_async"})",
+       "scenario.consistency.mode: unknown field"},
   };
   for (const auto& c : cases) {
     Scenario scenario;
