@@ -232,10 +232,8 @@ class SubstrateRng {
   static constexpr uint64_t kTransportStream = 0xA5A5A5A5ULL;
   static constexpr uint64_t kThreadStream = 0x7E57AB1E00000000ULL;
   /// Scenario fuzzing (src/scenario/fuzzer.h): per-run mutation streams
-  /// are kFuzzMutationStream + run index; the shrinker draws from its own
-  /// stream so adding shrink randomness never perturbs mutation replay.
+  /// are kFuzzMutationStream + run index.
   static constexpr uint64_t kFuzzMutationStream = 0xF0220000'00000000ULL;
-  static constexpr uint64_t kFuzzShrinkStream = 0x51121C00'00000000ULL;
 
   explicit SubstrateRng(uint64_t base_seed) : base_(base_seed) {}
 

@@ -8,31 +8,11 @@
 
 #include "runtime/substrate.h"
 #include "common/json.h"
-#include "sim/cost_model.h"
 
 namespace tornado {
 namespace scenario {
 
 namespace {
-
-/// Cost knobs the mutator perturbs, with their CostModel defaults as the
-/// scaling anchor (a knob is always default x [0.5, 2], so mutants stay
-/// inside a physically plausible band).
-struct CostKnob {
-  const char* name;
-  double default_value;
-};
-std::vector<CostKnob> MutableCostKnobs() {
-  const CostModel defaults;
-  return {
-      {"net_latency", defaults.net_latency},
-      {"nic_wire_time", defaults.nic_wire_time},
-      {"per_message_cpu", defaults.per_message_cpu},
-      {"per_update_cpu", defaults.per_update_cpu},
-      {"flush_base_cost", defaults.flush_base_cost},
-      {"ack_timeout", defaults.ack_timeout},
-  };
-}
 
 NodeRef RandomProcessor(const Scenario& s, Rng* rng) {
   NodeRef ref;
@@ -84,7 +64,9 @@ Scenario MutateScenario(const Scenario& base, Rng* rng) {
         break;
       }
       case 4: {
-        const std::vector<CostKnob> knobs = MutableCostKnobs();
+        // Each knob stays within [0.5x, 2x] of its default, a physically
+        // plausible band.
+        const std::vector<CostKnob> knobs = FuzzedCostKnobs();
         const CostKnob& knob = knobs[rng->NextUint64(knobs.size())];
         m.cost[knob.name] = knob.default_value * rng->NextDouble(0.5, 2.0);
         break;
@@ -181,8 +163,6 @@ Scenario ShrinkScenario(const Scenario& failing, uint32_t budget,
                         uint32_t* runs_used, bool verbose) {
   // Greedy deterministic shrink: fixed pass order, accept any candidate
   // that still violates, iterate to a fixed point or budget exhaustion.
-  // (SubstrateRng::kFuzzShrinkStream is reserved for future randomized
-  // passes; the greedy shrinker draws nothing.)
   Scenario best = failing;
   uint32_t used = 0;
   auto attempt = [&](Scenario candidate) {

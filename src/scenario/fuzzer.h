@@ -17,11 +17,11 @@ namespace scenario {
 /// backend under the invariant checker, and on a violation shrinks
 /// toward a minimal failing scenario and emits a repro JSON document.
 ///
-/// Determinism contract: every random draw comes from SubstrateRng named
-/// streams (kFuzzMutationStream + run index for mutation, kFuzzShrinkStream
-/// for the shrinker) — never wall-clock or host entropy — so the same
-/// (seed, corpus) pair replays the same mutants and the repro file's
-/// recorded seed reproduces its violation exactly. The fuzzer lives in
+/// Determinism contract: every random draw comes from the SubstrateRng
+/// named stream kFuzzMutationStream + run index (the shrinker draws
+/// nothing) — never wall-clock or host entropy — so the same (seed,
+/// corpus) pair replays the same mutants and the repro file's recorded
+/// seed reproduces its violation exactly. The fuzzer lives in
 /// src/scenario (not tools/) so the DET-002 lint rule covers it.
 
 struct FuzzOptions {

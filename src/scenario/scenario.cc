@@ -1,9 +1,17 @@
 #include "scenario/scenario.h"
 
+#include <algorithm>
+#include <cctype>
+#include <charconv>
 #include <cmath>
+#include <concepts>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
+#include <limits>
 #include <sstream>
+#include <string_view>
+#include <variant>
 
 #include "sim/cost_model.h"
 
@@ -12,563 +20,520 @@ namespace scenario {
 
 namespace {
 
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// The largest integer the double-based JSON codec holds exactly (2^53).
+/// An integer field with no tighter upper bound is capped here, so a
+/// value such as 1e30 is rejected instead of cast out of range.
+constexpr double kMaxExactInteger = 9007199254740992.0;
+
+/// The accepted range of a numeric field; an infinite end is unbounded.
+/// The validator's message is derived from it ("must be > 0", "must be
+/// in [1, 256]"), so the range is the one statement of each bound.
+struct Range {
+  double lo = -kInf;
+  double hi = kInf;
+  bool lo_open = false;  // lo itself is rejected
+  bool hi_open = false;  // hi itself is rejected
+};
+constexpr Range kPositive{.lo = 0, .lo_open = true};
+constexpr Range kNonNegative{.lo = 0};
+constexpr Range In(double lo, double hi) { return {.lo = lo, .hi = hi}; }
+constexpr Range AtMost(double hi) { return {.hi = hi}; }
+
+std::string BoundText(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.17g", v);
+  return buf;
+}
+
+std::string RangeMessage(const Range& r) {
+  if (r.lo == -kInf) {
+    return (r.hi_open ? "must be < " : "must be <= ") + BoundText(r.hi);
+  }
+  if (r.hi == kInf) {
+    return (r.lo_open ? "must be > " : "must be >= ") + BoundText(r.lo);
+  }
+  return std::string("must be in ") + (r.lo_open ? "(" : "[") +
+         BoundText(r.lo) + ", " + BoundText(r.hi) + (r.hi_open ? ")" : "]");
+}
+
+/// One member of a schema object: its JSON key, the struct member it
+/// lands in, and the accepted range of a numeric value. The member's type
+/// selects the JSON type: bool, an unsigned integer, a double, or (for
+/// timeline operands) a node reference or an array of them.
+template <typename S>
+struct Field {
+  const char* key;
+  std::variant<bool S::*, uint32_t S::*, uint64_t S::*, double S::*,
+               NodeRef S::*, std::vector<NodeRef> S::*>
+      member;
+  Range range = {};
+};
+
+// Each section's fields, in the order they are read (so the order their
+// errors are reported in) and written.
+
+const Field<Scenario> kTopFields[] = {
+    {"seed", &Scenario::seed},
+};
+
+const Field<ScenarioCluster> kClusterFields[] = {
+    {"processors", &ScenarioCluster::processors, In(1, 256)},
+    {"hosts", &ScenarioCluster::hosts, In(1, 256)},
+};
+
+const Field<ScenarioWorkload> kWorkloadFields[] = {
+    {"tuples", &ScenarioWorkload::tuples, In(100, 10000000)},
+    {"rate", &ScenarioWorkload::rate, kPositive},
+    {"batch", &ScenarioWorkload::batch, In(1, 100000)},
+    {"batch_mode", &ScenarioWorkload::batch_mode},
+    {"stream_seed", &ScenarioWorkload::stream_seed},
+};
+
+const Field<ScenarioConsistency> kConsistencyFields[] = {
+    {"delay_bound", &ScenarioConsistency::delay_bound, In(1, 1000000)},
+};
+
+const Field<ScenarioDrive> kDriveFields[] = {
+    {"warmup_tuples", &ScenarioDrive::warmup_tuples},
+    {"warmup_timeout", &ScenarioDrive::warmup_timeout, kPositive},
+    {"pause_ingest", &ScenarioDrive::pause_ingest},
+    {"settle_seconds", &ScenarioDrive::settle_seconds, kNonNegative},
+    {"query_at_start", &ScenarioDrive::query_at_start},
+    {"sample_start_seconds", &ScenarioDrive::sample_start_seconds,
+     kNonNegative},
+    {"bucket_seconds", &ScenarioDrive::bucket_seconds, kPositive},
+    {"sample_count", &ScenarioDrive::sample_count, AtMost(100000)},
+    {"wait_for_query", &ScenarioDrive::wait_for_query},
+    {"query_timeout", &ScenarioDrive::query_timeout, kPositive},
+};
+
+const Field<ScenarioChaos> kChaosFields[] = {
+    {"commit_regression_after", &ScenarioChaos::commit_regression_after,
+     kNonNegative},
+};
+
 /// The CostModel fields a scenario may override, in declaration order.
+/// `fuzzed` marks the knobs MutateScenario perturbs.
 struct CostField {
   const char* name;
   double CostModel::* member;
+  Range range;
+  bool fuzzed;
 };
-constexpr CostField kCostFields[] = {
-    {"net_latency", &CostModel::net_latency},
-    {"net_jitter", &CostModel::net_jitter},
-    {"nic_wire_time", &CostModel::nic_wire_time},
-    {"local_latency", &CostModel::local_latency},
-    {"per_message_cpu", &CostModel::per_message_cpu},
-    {"per_update_cpu", &CostModel::per_update_cpu},
-    {"store_write_cost", &CostModel::store_write_cost},
-    {"flush_base_cost", &CostModel::flush_base_cost},
-    {"flush_per_version", &CostModel::flush_per_version},
-    {"ack_timeout", &CostModel::ack_timeout},
-    {"ack_timeout_max", &CostModel::ack_timeout_max},
-    {"progress_period", &CostModel::progress_period},
+const CostField kCostFields[] = {
+    {"net_latency", &CostModel::net_latency, kPositive, true},
+    {"net_jitter", &CostModel::net_jitter,
+     {.lo = 0, .hi = 1, .hi_open = true}, false},
+    {"nic_wire_time", &CostModel::nic_wire_time, kPositive, true},
+    {"local_latency", &CostModel::local_latency, kPositive, false},
+    {"per_message_cpu", &CostModel::per_message_cpu, kPositive, true},
+    {"per_update_cpu", &CostModel::per_update_cpu, kPositive, true},
+    {"store_write_cost", &CostModel::store_write_cost, kPositive, false},
+    {"flush_base_cost", &CostModel::flush_base_cost, kPositive, true},
+    {"flush_per_version", &CostModel::flush_per_version, kPositive, false},
+    {"ack_timeout", &CostModel::ack_timeout, kPositive, true},
+    {"ack_timeout_max", &CostModel::ack_timeout_max, kPositive, false},
+    {"progress_period", &CostModel::progress_period, kPositive, false},
 };
 
-/// Collects validation errors as "path: message" lines and keeps going,
-/// so one pass reports every problem in the document.
-class Errors {
- public:
-  explicit Errors(std::vector<std::string>* out) : out_(out) {}
+struct WorkloadName {
+  const char* name;
+  ScenarioWorkload::Kind kind;
+};
+const WorkloadName kWorkloadKinds[] = {
+    {"sssp", ScenarioWorkload::Kind::kSssp},
+    {"pagerank", ScenarioWorkload::Kind::kPageRank},
+    {"kmeans", ScenarioWorkload::Kind::kKMeans},
+    {"sgd_svm", ScenarioWorkload::Kind::kSgdSvm},
+    {"sgd_lr", ScenarioWorkload::Kind::kSgdLr},
+};
 
-  void Add(const std::string& path, const std::string& message) {
-    out_->push_back(path + ": " + message);
+/// Every timeline action has a required `at`, read before its name is
+/// looked up, then the operands its row selects from kOperands.
+const Field<TimelineAction> kAtField = {"at", &TimelineAction::at,
+                                        kNonNegative};
+const Field<TimelineAction> kOperands[] = {
+    {"node", &TimelineAction::node},
+    {"src", &TimelineAction::src},
+    {"dst", &TimelineAction::dst},
+    {"side", &TimelineAction::side},
+    {"downtime", &TimelineAction::downtime, kPositive},
+    {"factor", &TimelineAction::factor, kPositive},
+    {"rate", &TimelineAction::rate, kPositive},
+};
+
+/// An action's operand set: bit i selects kOperands[i]. Every operand an
+/// action takes is required, and src and dst must differ.
+enum Operand : unsigned {
+  kNode = 1u << 0,
+  kLink = 1u << 1 | 1u << 2,  // src and dst
+  kSide = 1u << 3,
+  kDowntime = 1u << 4,
+  kFactor = 1u << 5,
+  kRate = 1u << 6,
+};
+
+struct ActionRow {
+  const char* name;
+  TimelineAction::Kind kind;
+  unsigned operands;
+};
+const ActionRow kActions[] = {
+    {"kill", TimelineAction::Kind::kKill, kNode},
+    {"recover", TimelineAction::Kind::kRecover, kNode},
+    {"crash_restart", TimelineAction::Kind::kCrashRestart, kNode | kDowntime},
+    {"drop_link", TimelineAction::Kind::kDropLink, kLink},
+    {"restore_link", TimelineAction::Kind::kRestoreLink, kLink},
+    {"partition", TimelineAction::Kind::kPartition, kSide},
+    {"heal_partition", TimelineAction::Kind::kHealPartition, kSide},
+    {"slow_node", TimelineAction::Kind::kSlowNode, kNode | kFactor},
+    {"restore_speed", TimelineAction::Kind::kRestoreSpeed, kNode},
+    {"set_rate", TimelineAction::Kind::kSetRate, kRate},
+    {"restore_rate", TimelineAction::Kind::kRestoreRate, 0},
+};
+
+/// Where validation errors go, as "path: message" lines (the validator
+/// keeps going, so one pass reports every problem in the document), and
+/// the cluster shape node references are checked against.
+struct Context {
+  std::vector<std::string>* errors;
+  const ScenarioCluster* cluster;
+
+  void Error(const std::string& path, const std::string& message) const {
+    errors->push_back(path + ": " + message);
   }
-  bool ok() const { return out_->empty(); }
-
- private:
-  std::vector<std::string>* out_;
 };
+
+// Check() validates one JSON value for a member of type T, reporting at
+// `path`; on success it stores the value and returns true, otherwise the
+// member keeps its default.
+
+bool Check(const JsonValue& v, const std::string& path, const Range&,
+           const Context& ctx, bool* out) {
+  if (!v.is_bool()) {
+    ctx.Error(path, "expected boolean");
+    return false;
+  }
+  *out = v.bool_value;
+  return true;
+}
+
+bool Check(const JsonValue& v, const std::string& path, const Range& range,
+           const Context& ctx, double* out) {
+  if (!v.is_number()) {
+    ctx.Error(path, "expected number");
+    return false;
+  }
+  if (!(range.lo_open ? v.number > range.lo : v.number >= range.lo) ||
+      !(range.hi_open ? v.number < range.hi : v.number <= range.hi)) {
+    ctx.Error(path, RangeMessage(range));
+    return false;
+  }
+  *out = v.number;
+  return true;
+}
+
+template <std::unsigned_integral T>
+bool Check(const JsonValue& v, const std::string& path, Range range,
+           const Context& ctx, T* out) {
+  if (!v.is_number() || v.number != std::floor(v.number) || v.number < 0) {
+    ctx.Error(path, "expected non-negative integer");
+    return false;
+  }
+  range.hi = std::min(range.hi, kMaxExactInteger);
+  double number = 0.0;
+  if (!Check(v, path, range, ctx, &number)) return false;
+  *out = static_cast<T>(number);
+  return true;
+}
+
+bool ParseNodeRefString(const std::string& text, NodeRef* out) {
+  if (text == "master" || text == "ingester") {
+    *out = {text == "master" ? NodeRef::Kind::kMaster
+                             : NodeRef::Kind::kIngester,
+            0};
+    return true;
+  }
+  constexpr std::string_view kPrefix = "processor:";
+  if (!text.starts_with(kPrefix)) return false;
+  const char* end = text.data() + text.size();
+  uint32_t index = 0;
+  const auto [rest, ec] =
+      std::from_chars(text.data() + kPrefix.size(), end, index);
+  if (ec != std::errc() || rest != end) return false;
+  *out = {NodeRef::Kind::kProcessor, index};
+  return true;
+}
+
+/// A node reference, bounds-checked against the cluster shape; `hint`
+/// names the accepted spellings in a syntax error.
+bool CheckNodeRef(const JsonValue& v, const std::string& path,
+                  const Context& ctx, bool hint, NodeRef* out) {
+  const std::string spellings = "\"processor:N\", \"master\" or \"ingester\"";
+  if (!v.is_string()) {
+    ctx.Error(path, "expected node reference string" +
+                        (hint ? " (" + spellings + ")" : ""));
+    return false;
+  }
+  NodeRef ref;
+  if (!ParseNodeRefString(v.string_value, &ref)) {
+    ctx.Error(path, "invalid node reference \"" + v.string_value + "\"" +
+                        (hint ? " (want " + spellings + ")" : ""));
+    return false;
+  }
+  if (ref.kind == NodeRef::Kind::kProcessor &&
+      ref.index >= ctx.cluster->processors) {
+    ctx.Error(path, "processor index " + std::to_string(ref.index) +
+                        " out of range (cluster has " +
+                        std::to_string(ctx.cluster->processors) +
+                        " processors)");
+    return false;
+  }
+  *out = ref;
+  return true;
+}
+
+bool Check(const JsonValue& v, const std::string& path, const Range&,
+           const Context& ctx, NodeRef* out) {
+  return CheckNodeRef(v, path, ctx, /*hint=*/true, out);
+}
+
+/// A partition side: a non-empty array of node references.
+bool Check(const JsonValue& v, const std::string& path, const Range&,
+           const Context& ctx, std::vector<NodeRef>* out) {
+  if (!v.is_array() || v.array.empty()) {
+    ctx.Error(path, "expected non-empty array");
+    return false;
+  }
+  for (size_t i = 0; i < v.array.size(); ++i) {
+    NodeRef ref;
+    if (CheckNodeRef(v.array[i], path + "[" + std::to_string(i) + "]", ctx,
+                     /*hint=*/false, &ref)) {
+      out->push_back(ref);
+    }
+  }
+  return true;
+}
+
+JsonValue ToJson(bool b) { return JsonValue::Of(b); }
+JsonValue ToJson(double d) { return JsonValue::Of(d); }
+JsonValue ToJson(std::unsigned_integral auto n) {
+  return JsonValue::Of(static_cast<double>(n));
+}
+JsonValue ToJson(const NodeRef& ref) { return JsonValue::Of(ref.ToString()); }
+JsonValue ToJson(const std::vector<NodeRef>& refs) {
+  JsonValue array = JsonValue::MakeArray();
+  for (const NodeRef& ref : refs) array.array.push_back(ToJson(ref));
+  return array;
+}
+
+template <typename S>
+void WriteField(const Field<S>& field, const S& in, JsonValue* out) {
+  std::visit([&](auto member) { out->Add(field.key, ToJson(in.*member)); },
+             field.member);
+}
+
+template <typename S, size_t N>
+JsonValue WriteFields(const Field<S> (&fields)[N], const S& in,
+                      JsonValue out = JsonValue::MakeObject()) {
+  for (const Field<S>& field : fields) WriteField(field, in, &out);
+  return out;
+}
 
 /// Typed member access over one JSON object with dotted-path error
 /// reporting and strict unknown-field rejection.
 class ObjectReader {
  public:
-  ObjectReader(const JsonValue& value, std::string path, Errors* errors)
-      : value_(value), path_(std::move(path)), errors_(errors) {
+  ObjectReader(const JsonValue& value, std::string path, const Context* ctx)
+      : value_(value), path_(std::move(path)), ctx_(ctx) {
     if (!value_.is_object()) {
-      errors_->Add(path_, "expected object");
+      ctx_->Error(path_, "expected object");
       valid_ = false;
     }
   }
 
   bool valid() const { return valid_; }
-  const std::string& path() const { return path_; }
+  const Context& ctx() const { return *ctx_; }
 
-  const JsonValue* Claim(const std::string& key) {
+  /// The member `key`, marked as known; nullptr when absent (reported
+  /// when `required`).
+  const JsonValue* Take(const std::string& key, bool required = false) {
     if (!valid_) return nullptr;
     claimed_.push_back(key);
-    return value_.Find(key);
+    const JsonValue* v = value_.Find(key);
+    if (v == nullptr && required) Error(key, "missing required field");
+    return v;
   }
 
   std::string MemberPath(const std::string& key) const {
     return path_ + "." + key;
   }
 
-  /// Reports any member not claimed by the section parser.
-  void RejectUnknown() {
+  void Error(const std::string& key, const std::string& message) const {
+    ctx_->Error(MemberPath(key), message);
+  }
+
+  /// Reports any member not taken by the section parser.
+  void RejectUnknown() const {
     if (!valid_) return;
     for (const auto& [key, unused] : value_.object) {
       (void)unused;
-      bool known = false;
-      for (const std::string& c : claimed_) {
-        if (c == key) {
-          known = true;
-          break;
-        }
+      if (std::ranges::find(claimed_, key) == claimed_.end()) {
+        Error(key, "unknown field");
       }
-      if (!known) errors_->Add(MemberPath(key), "unknown field");
     }
   }
 
   void ReadString(const std::string& key, std::string* out,
                   bool required = false) {
-    const JsonValue* v = Claim(key);
-    if (v == nullptr) {
-      if (required) errors_->Add(MemberPath(key), "missing required field");
-      return;
-    }
+    const JsonValue* v = Take(key, required);
+    if (v == nullptr) return;
     if (!v->is_string()) {
-      errors_->Add(MemberPath(key), "expected string");
+      Error(key, "expected string");
       return;
     }
     *out = v->string_value;
   }
 
-  void ReadBool(const std::string& key, bool* out) {
-    const JsonValue* v = Claim(key);
+  template <typename S>
+  void Read(const Field<S>& field, S* out, bool required = false) {
+    const JsonValue* v = Take(field.key, required);
     if (v == nullptr) return;
-    if (!v->is_bool()) {
-      errors_->Add(MemberPath(key), "expected boolean");
-      return;
-    }
-    *out = v->bool_value;
+    std::visit(
+        [&](auto member) {
+          Check(*v, MemberPath(field.key), field.range, *ctx_, &(out->*member));
+        },
+        field.member);
   }
 
-  /// A finite JSON number; range checks are the caller's.
-  bool ReadDouble(const std::string& key, double* out) {
-    const JsonValue* v = Claim(key);
-    if (v == nullptr) return false;
-    if (!v->is_number()) {
-      errors_->Add(MemberPath(key), "expected number");
-      return false;
-    }
-    *out = v->number;
-    return true;
-  }
-
-  /// A non-negative integer-valued number (counts, seeds, indexes).
-  bool ReadUint(const std::string& key, uint64_t* out) {
-    const JsonValue* v = Claim(key);
-    if (v == nullptr) return false;
-    if (!v->is_number() || v->number != std::floor(v->number) ||
-        v->number < 0) {
-      errors_->Add(MemberPath(key), "expected non-negative integer");
-      return false;
-    }
-    *out = static_cast<uint64_t>(v->number);
-    return true;
+  template <typename S, size_t N>
+  void Read(const Field<S> (&fields)[N], S* out) {
+    for (const Field<S>& field : fields) Read(field, out);
   }
 
  private:
   const JsonValue& value_;
   std::string path_;
-  Errors* errors_;
+  const Context* ctx_;
   std::vector<std::string> claimed_;
   bool valid_ = true;
 };
 
-bool ParseNodeRefString(const std::string& text, NodeRef* out) {
-  if (text == "master") {
-    out->kind = NodeRef::Kind::kMaster;
-    out->index = 0;
-    return true;
-  }
-  if (text == "ingester") {
-    out->kind = NodeRef::Kind::kIngester;
-    out->index = 0;
-    return true;
-  }
-  const std::string prefix = "processor:";
-  if (text.rfind(prefix, 0) == 0 && text.size() > prefix.size()) {
-    uint64_t index = 0;
-    for (size_t i = prefix.size(); i < text.size(); ++i) {
-      if (text[i] < '0' || text[i] > '9') return false;
-      index = index * 10 + static_cast<uint64_t>(text[i] - '0');
-      if (index > 0xFFFFFFFFULL) return false;
-    }
-    out->kind = NodeRef::Kind::kProcessor;
-    out->index = static_cast<uint32_t>(index);
-    return true;
-  }
-  return false;
+/// Reads the object member `key` of `parent` with `body`, then rejects
+/// its unknown members. An absent section keeps its defaults.
+template <typename Body>
+void ReadSection(ObjectReader* parent, const char* key, bool required,
+                 Body body) {
+  const JsonValue* v = parent->Take(key, required);
+  if (v == nullptr) return;
+  ObjectReader section(*v, parent->MemberPath(key), &parent->ctx());
+  if (!section.valid()) return;
+  body(&section);
+  section.RejectUnknown();
 }
 
-/// Parses and bounds-checks one node reference against the cluster shape.
-void ReadNodeRef(ObjectReader* reader, const std::string& key,
-                 const ScenarioCluster& cluster, Errors* errors, NodeRef* out,
-                 bool required = true) {
-  const JsonValue* v = reader->Claim(key);
-  if (v == nullptr) {
-    if (required) {
-      errors->Add(reader->MemberPath(key), "missing required field");
+void ReadSpeeds(ObjectReader* reader, ScenarioCluster* out) {
+  const JsonValue* speeds = reader->Take("processor_speeds");
+  if (speeds == nullptr) return;
+  if (!speeds->is_array()) {
+    reader->Error("processor_speeds", "expected array");
+    return;
+  }
+  if (speeds->array.size() > out->processors) {
+    reader->Error("processor_speeds", "more entries than processors");
+    return;
+  }
+  for (size_t i = 0; i < speeds->array.size(); ++i) {
+    double speed = 0.0;
+    if (Check(speeds->array[i],
+              reader->MemberPath("processor_speeds") + "[" +
+                  std::to_string(i) + "]",
+              kPositive, reader->ctx(), &speed)) {
+      out->processor_speeds.push_back(speed);
     }
-    return;
   }
-  if (!v->is_string()) {
-    errors->Add(reader->MemberPath(key),
-                "expected node reference string "
-                "(\"processor:N\", \"master\" or \"ingester\")");
-    return;
-  }
-  NodeRef ref;
-  if (!ParseNodeRefString(v->string_value, &ref)) {
-    errors->Add(reader->MemberPath(key),
-                "invalid node reference \"" + v->string_value +
-                    "\" (want \"processor:N\", \"master\" or \"ingester\")");
-    return;
-  }
-  if (ref.kind == NodeRef::Kind::kProcessor &&
-      ref.index >= cluster.processors) {
-    errors->Add(reader->MemberPath(key),
-                "processor index " + std::to_string(ref.index) +
-                    " out of range (cluster has " +
-                    std::to_string(cluster.processors) + " processors)");
-    return;
-  }
-  *out = ref;
 }
 
-void ParseClusterSection(const JsonValue& value, const std::string& path,
-                         Errors* errors, ScenarioCluster* out) {
-  ObjectReader reader(value, path, errors);
-  if (!reader.valid()) return;
-  uint64_t processors = out->processors, hosts = out->hosts;
-  if (reader.ReadUint("processors", &processors)) {
-    if (processors < 1 || processors > 256) {
-      errors->Add(reader.MemberPath("processors"), "must be in [1, 256]");
-    } else {
-      out->processors = static_cast<uint32_t>(processors);
-    }
-  }
-  if (reader.ReadUint("hosts", &hosts)) {
-    if (hosts < 1 || hosts > 256) {
-      errors->Add(reader.MemberPath("hosts"), "must be in [1, 256]");
-    } else {
-      out->hosts = static_cast<uint32_t>(hosts);
-    }
-  }
-  if (const JsonValue* speeds = reader.Claim("processor_speeds")) {
-    if (!speeds->is_array()) {
-      errors->Add(reader.MemberPath("processor_speeds"), "expected array");
-    } else if (speeds->array.size() > out->processors) {
-      errors->Add(reader.MemberPath("processor_speeds"),
-                  "more entries than processors");
-    } else {
-      for (size_t i = 0; i < speeds->array.size(); ++i) {
-        const JsonValue& s = speeds->array[i];
-        const std::string item =
-            reader.MemberPath("processor_speeds") + "[" + std::to_string(i) +
-            "]";
-        if (!s.is_number()) {
-          errors->Add(item, "expected number");
-        } else if (s.number <= 0.0) {
-          errors->Add(item, "must be > 0");
-        } else {
-          out->processor_speeds.push_back(s.number);
-        }
-      }
-    }
-  }
-  reader.RejectUnknown();
-}
-
-void ParseCostSection(const JsonValue& value, const std::string& path,
-                      Errors* errors, std::map<std::string, double>* out) {
-  ObjectReader reader(value, path, errors);
-  if (!reader.valid()) return;
+void ReadCost(ObjectReader* reader, std::map<std::string, double>* out) {
   for (const CostField& field : kCostFields) {
-    double v = 0.0;
-    if (reader.ReadDouble(field.name, &v)) {
-      if (v <= 0.0 && std::string(field.name) != "net_jitter") {
-        errors->Add(reader.MemberPath(field.name), "must be > 0");
-      } else if (std::string(field.name) == "net_jitter" &&
-                 (v < 0.0 || v >= 1.0)) {
-        errors->Add(reader.MemberPath(field.name), "must be in [0, 1)");
-      } else {
-        (*out)[field.name] = v;
-      }
+    const JsonValue* v = reader->Take(field.name);
+    double value = 0.0;
+    if (v != nullptr && Check(*v, reader->MemberPath(field.name), field.range,
+                              reader->ctx(), &value)) {
+      (*out)[field.name] = value;
     }
   }
-  reader.RejectUnknown();
 }
 
-void ParseWorkloadSection(const JsonValue& value, const std::string& path,
-                          Errors* errors, ScenarioWorkload* out) {
-  ObjectReader reader(value, path, errors);
-  if (!reader.valid()) return;
+void ReadWorkloadKind(ObjectReader* reader, ScenarioWorkload::Kind* out) {
   std::string kind;
-  reader.ReadString("kind", &kind, /*required=*/true);
-  if (kind == "sssp") {
-    out->kind = ScenarioWorkload::Kind::kSssp;
-  } else if (kind == "pagerank") {
-    out->kind = ScenarioWorkload::Kind::kPageRank;
-  } else if (kind == "kmeans") {
-    out->kind = ScenarioWorkload::Kind::kKMeans;
-  } else if (kind == "sgd_svm") {
-    out->kind = ScenarioWorkload::Kind::kSgdSvm;
-  } else if (kind == "sgd_lr") {
-    out->kind = ScenarioWorkload::Kind::kSgdLr;
+  reader->ReadString("kind", &kind, /*required=*/true);
+  const auto* row = std::ranges::find(kWorkloadKinds, kind,
+                                      &WorkloadName::name);
+  if (row != std::end(kWorkloadKinds)) {
+    *out = row->kind;
   } else if (!kind.empty()) {
-    errors->Add(reader.MemberPath("kind"),
-                "unknown workload \"" + kind +
-                    "\" (want sssp, pagerank, kmeans, sgd_svm or sgd_lr)");
-  }
-  uint64_t tuples = out->tuples;
-  if (reader.ReadUint("tuples", &tuples)) {
-    if (tuples < 100 || tuples > 10000000) {
-      errors->Add(reader.MemberPath("tuples"),
-                  "must be in [100, 10000000]");
-    } else {
-      out->tuples = tuples;
+    std::string want;
+    const size_t n = std::size(kWorkloadKinds);
+    for (size_t i = 0; i < n; ++i) {
+      want += (i == 0 ? "" : i + 1 < n ? ", " : " or ") +
+              std::string(kWorkloadKinds[i].name);
     }
+    reader->Error("kind",
+                  "unknown workload \"" + kind + "\" (want " + want + ")");
   }
-  double rate = out->rate;
-  if (reader.ReadDouble("rate", &rate)) {
-    if (rate <= 0.0) {
-      errors->Add(reader.MemberPath("rate"), "must be > 0");
-    } else {
-      out->rate = rate;
-    }
-  }
-  uint64_t batch = out->batch;
-  if (reader.ReadUint("batch", &batch)) {
-    if (batch < 1 || batch > 100000) {
-      errors->Add(reader.MemberPath("batch"), "must be in [1, 100000]");
-    } else {
-      out->batch = static_cast<uint32_t>(batch);
-    }
-  }
-  reader.ReadBool("batch_mode", &out->batch_mode);
-  reader.ReadUint("stream_seed", &out->stream_seed);
-  reader.RejectUnknown();
 }
 
-void ParseConsistencySection(const JsonValue& value, const std::string& path,
-                             Errors* errors, ScenarioConsistency* out) {
-  ObjectReader reader(value, path, errors);
+void ReadAction(const JsonValue& value, const std::string& path,
+                const Context& ctx, TimelineAction* out) {
+  ObjectReader reader(value, path, &ctx);
   if (!reader.valid()) return;
-  uint64_t bound = out->delay_bound;
-  if (reader.ReadUint("delay_bound", &bound)) {
-    if (bound < 1 || bound > 1000000) {
-      errors->Add(reader.MemberPath("delay_bound"),
-                  "must be in [1, 1000000]");
-    } else {
-      out->delay_bound = bound;
+  std::string name;
+  reader.ReadString("action", &name, /*required=*/true);
+  reader.Read(kAtField, out, /*required=*/true);
+  const auto* row = std::ranges::find(kActions, name, &ActionRow::name);
+  if (row != std::end(kActions)) {
+    out->kind = row->kind;
+    for (size_t i = 0; i < std::size(kOperands); ++i) {
+      if (row->operands & (1u << i)) {
+        reader.Read(kOperands[i], out, /*required=*/true);
+      }
     }
+    if ((row->operands & kLink) && value.Find("src") != nullptr &&
+        value.Find("dst") != nullptr && out->src == out->dst) {
+      ctx.Error(path, "src and dst must differ");
+    }
+  } else if (!name.empty()) {
+    reader.Error("action", "unknown action \"" + name + "\"");
   }
   reader.RejectUnknown();
 }
 
-void ParseDriveSection(const JsonValue& value, const std::string& path,
-                       Errors* errors, ScenarioDrive* out) {
-  ObjectReader reader(value, path, errors);
-  if (!reader.valid()) return;
-  reader.ReadUint("warmup_tuples", &out->warmup_tuples);
-  double d = 0.0;
-  if (reader.ReadDouble("warmup_timeout", &d)) {
-    if (d <= 0.0) {
-      errors->Add(reader.MemberPath("warmup_timeout"), "must be > 0");
-    } else {
-      out->warmup_timeout = d;
-    }
+JsonValue WriteAction(const TimelineAction& a) {
+  JsonValue action = JsonValue::MakeObject();
+  action.Add("action", JsonValue::Of(std::string(ActionKindName(a.kind))));
+  WriteField(kAtField, a, &action);
+  const auto* row = std::ranges::find(kActions, a.kind, &ActionRow::kind);
+  const unsigned operands = row != std::end(kActions) ? row->operands : 0;
+  for (size_t i = 0; i < std::size(kOperands); ++i) {
+    if (operands & (1u << i)) WriteField(kOperands[i], a, &action);
   }
-  reader.ReadBool("pause_ingest", &out->pause_ingest);
-  if (reader.ReadDouble("settle_seconds", &d)) {
-    if (d < 0.0) {
-      errors->Add(reader.MemberPath("settle_seconds"), "must be >= 0");
-    } else {
-      out->settle_seconds = d;
-    }
-  }
-  reader.ReadBool("query_at_start", &out->query_at_start);
-  if (reader.ReadDouble("sample_start_seconds", &d)) {
-    if (d < 0.0) {
-      errors->Add(reader.MemberPath("sample_start_seconds"), "must be >= 0");
-    } else {
-      out->sample_start_seconds = d;
-    }
-  }
-  if (reader.ReadDouble("bucket_seconds", &d)) {
-    if (d <= 0.0) {
-      errors->Add(reader.MemberPath("bucket_seconds"), "must be > 0");
-    } else {
-      out->bucket_seconds = d;
-    }
-  }
-  uint64_t count = out->sample_count;
-  if (reader.ReadUint("sample_count", &count)) {
-    if (count > 100000) {
-      errors->Add(reader.MemberPath("sample_count"),
-                  "must be <= 100000");
-    } else {
-      out->sample_count = static_cast<uint32_t>(count);
-    }
-  }
-  reader.ReadBool("wait_for_query", &out->wait_for_query);
-  if (reader.ReadDouble("query_timeout", &d)) {
-    if (d <= 0.0) {
-      errors->Add(reader.MemberPath("query_timeout"), "must be > 0");
-    } else {
-      out->query_timeout = d;
-    }
-  }
-  reader.RejectUnknown();
-}
-
-void ParseTimelineAction(const JsonValue& value, const std::string& path,
-                         const ScenarioCluster& cluster, Errors* errors,
-                         TimelineAction* out) {
-  ObjectReader reader(value, path, errors);
-  if (!reader.valid()) return;
-  std::string action;
-  reader.ReadString("action", &action, /*required=*/true);
-  double at = 0.0;
-  if (reader.ReadDouble("at", &at)) {
-    if (at < 0.0) {
-      errors->Add(reader.MemberPath("at"), "must be >= 0");
-    } else {
-      out->at = at;
-    }
-  } else if (value.Find("at") == nullptr) {
-    errors->Add(reader.MemberPath("at"), "missing required field");
-  }
-
-  using Kind = TimelineAction::Kind;
-  if (action == "kill") {
-    out->kind = Kind::kKill;
-  } else if (action == "recover") {
-    out->kind = Kind::kRecover;
-  } else if (action == "crash_restart") {
-    out->kind = Kind::kCrashRestart;
-  } else if (action == "drop_link") {
-    out->kind = Kind::kDropLink;
-  } else if (action == "restore_link") {
-    out->kind = Kind::kRestoreLink;
-  } else if (action == "partition") {
-    out->kind = Kind::kPartition;
-  } else if (action == "heal_partition") {
-    out->kind = Kind::kHealPartition;
-  } else if (action == "slow_node") {
-    out->kind = Kind::kSlowNode;
-  } else if (action == "restore_speed") {
-    out->kind = Kind::kRestoreSpeed;
-  } else if (action == "set_rate") {
-    out->kind = Kind::kSetRate;
-  } else if (action == "restore_rate") {
-    out->kind = Kind::kRestoreRate;
-  } else {
-    if (!action.empty()) {
-      errors->Add(reader.MemberPath("action"),
-                  "unknown action \"" + action + "\"");
-    }
-    reader.RejectUnknown();
-    return;
-  }
-
-  switch (out->kind) {
-    case Kind::kKill:
-    case Kind::kRecover:
-    case Kind::kRestoreSpeed:
-      ReadNodeRef(&reader, "node", cluster, errors, &out->node);
-      break;
-    case Kind::kCrashRestart: {
-      ReadNodeRef(&reader, "node", cluster, errors, &out->node);
-      double downtime = 0.0;
-      if (reader.ReadDouble("downtime", &downtime)) {
-        if (downtime <= 0.0) {
-          errors->Add(reader.MemberPath("downtime"), "must be > 0");
-        } else {
-          out->downtime = downtime;
-        }
-      } else if (value.Find("downtime") == nullptr) {
-        errors->Add(reader.MemberPath("downtime"), "missing required field");
-      }
-      break;
-    }
-    case Kind::kDropLink:
-    case Kind::kRestoreLink:
-      ReadNodeRef(&reader, "src", cluster, errors, &out->src);
-      ReadNodeRef(&reader, "dst", cluster, errors, &out->dst);
-      if (value.Find("src") != nullptr && value.Find("dst") != nullptr &&
-          out->src == out->dst) {
-        errors->Add(reader.path(), "src and dst must differ");
-      }
-      break;
-    case Kind::kPartition:
-    case Kind::kHealPartition: {
-      const JsonValue* side = reader.Claim("side");
-      if (side == nullptr) {
-        errors->Add(reader.MemberPath("side"), "missing required field");
-        break;
-      }
-      if (!side->is_array() || side->array.empty()) {
-        errors->Add(reader.MemberPath("side"), "expected non-empty array");
-        break;
-      }
-      for (size_t i = 0; i < side->array.size(); ++i) {
-        const std::string item =
-            reader.MemberPath("side") + "[" + std::to_string(i) + "]";
-        const JsonValue& entry = side->array[i];
-        if (!entry.is_string()) {
-          errors->Add(item, "expected node reference string");
-          continue;
-        }
-        NodeRef ref;
-        if (!ParseNodeRefString(entry.string_value, &ref)) {
-          errors->Add(item, "invalid node reference \"" + entry.string_value +
-                                "\"");
-          continue;
-        }
-        if (ref.kind == NodeRef::Kind::kProcessor &&
-            ref.index >= cluster.processors) {
-          errors->Add(item, "processor index " + std::to_string(ref.index) +
-                                " out of range (cluster has " +
-                                std::to_string(cluster.processors) +
-                                " processors)");
-          continue;
-        }
-        out->side.push_back(ref);
-      }
-      break;
-    }
-    case Kind::kSlowNode: {
-      ReadNodeRef(&reader, "node", cluster, errors, &out->node);
-      double factor = 0.0;
-      if (reader.ReadDouble("factor", &factor)) {
-        if (factor <= 0.0) {
-          errors->Add(reader.MemberPath("factor"), "must be > 0");
-        } else {
-          out->factor = factor;
-        }
-      } else if (value.Find("factor") == nullptr) {
-        errors->Add(reader.MemberPath("factor"), "missing required field");
-      }
-      break;
-    }
-    case Kind::kSetRate: {
-      double rate = 0.0;
-      if (reader.ReadDouble("rate", &rate)) {
-        if (rate <= 0.0) {
-          errors->Add(reader.MemberPath("rate"), "must be > 0");
-        } else {
-          out->rate = rate;
-        }
-      } else if (value.Find("rate") == nullptr) {
-        errors->Add(reader.MemberPath("rate"), "missing required field");
-      }
-      break;
-    }
-    case Kind::kRestoreRate:
-      break;
-  }
-  reader.RejectUnknown();
-}
-
-void ParseChaosSection(const JsonValue& value, const std::string& path,
-                       Errors* errors, ScenarioChaos* out) {
-  ObjectReader reader(value, path, errors);
-  if (!reader.valid()) return;
-  double after = 0.0;
-  if (reader.ReadDouble("commit_regression_after", &after)) {
-    if (after < 0.0) {
-      errors->Add(reader.MemberPath("commit_regression_after"),
-                  "must be >= 0");
-    } else {
-      out->commit_regression_after = after;
-    }
-  }
-  reader.RejectUnknown();
+  return action;
 }
 
 void ParseProvenanceSection(const JsonValue& value, const std::string& path,
-                            Errors* errors,
+                            const Context& ctx,
                             std::map<std::string, std::string>* out) {
   // Free-form string map: any keys, string values only.
   if (!value.is_object()) {
-    errors->Add(path, "expected object");
+    ctx.Error(path, "expected object");
     return;
   }
   for (const auto& [key, v] : value.object) {
     if (!v.is_string()) {
-      errors->Add(path + "." + key, "expected string");
+      ctx.Error(path + "." + key, "expected string");
       continue;
     }
     (*out)[key] = v.string_value;
@@ -590,119 +555,89 @@ std::string NodeRef::ToString() const {
 }
 
 const char* WorkloadKindName(ScenarioWorkload::Kind kind) {
-  switch (kind) {
-    case ScenarioWorkload::Kind::kSssp:
-      return "sssp";
-    case ScenarioWorkload::Kind::kPageRank:
-      return "pagerank";
-    case ScenarioWorkload::Kind::kKMeans:
-      return "kmeans";
-    case ScenarioWorkload::Kind::kSgdSvm:
-      return "sgd_svm";
-    case ScenarioWorkload::Kind::kSgdLr:
-      return "sgd_lr";
-  }
-  return "?";
+  const auto* row = std::ranges::find(kWorkloadKinds, kind,
+                                      &WorkloadName::kind);
+  return row != std::end(kWorkloadKinds) ? row->name : "?";
 }
 
 const char* ActionKindName(TimelineAction::Kind kind) {
-  switch (kind) {
-    case TimelineAction::Kind::kKill:
-      return "kill";
-    case TimelineAction::Kind::kRecover:
-      return "recover";
-    case TimelineAction::Kind::kCrashRestart:
-      return "crash_restart";
-    case TimelineAction::Kind::kDropLink:
-      return "drop_link";
-    case TimelineAction::Kind::kRestoreLink:
-      return "restore_link";
-    case TimelineAction::Kind::kPartition:
-      return "partition";
-    case TimelineAction::Kind::kHealPartition:
-      return "heal_partition";
-    case TimelineAction::Kind::kSlowNode:
-      return "slow_node";
-    case TimelineAction::Kind::kRestoreSpeed:
-      return "restore_speed";
-    case TimelineAction::Kind::kSetRate:
-      return "set_rate";
-    case TimelineAction::Kind::kRestoreRate:
-      return "restore_rate";
+  const auto* row = std::ranges::find(kActions, kind, &ActionRow::kind);
+  return row != std::end(kActions) ? row->name : "?";
+}
+
+std::vector<CostKnob> FuzzedCostKnobs() {
+  const CostModel defaults;
+  std::vector<CostKnob> knobs;
+  for (const CostField& field : kCostFields) {
+    if (field.fuzzed) knobs.push_back({field.name, defaults.*(field.member)});
   }
-  return "?";
+  return knobs;
 }
 
 bool ParseScenario(const JsonValue& root, Scenario* out,
                    std::vector<std::string>* errors) {
   errors->clear();
   *out = Scenario();
-  Errors errs(errors);
-  ObjectReader reader(root, "scenario", &errs);
+  const Context ctx{errors, &out->cluster};
+  ObjectReader reader(root, "scenario", &ctx);
   if (!reader.valid()) return false;
 
   reader.ReadString("name", &out->name, /*required=*/true);
-  if (!out->name.empty()) {
-    for (char c : out->name) {
-      if (!std::isalnum(static_cast<unsigned char>(c)) && c != '_' &&
-          c != '-') {
-        errs.Add("scenario.name",
-                 "must contain only [A-Za-z0-9_-] (used as a test name)");
-        break;
-      }
+  for (char c : out->name) {
+    if (!std::isalnum(static_cast<unsigned char>(c)) && c != '_' &&
+        c != '-') {
+      ctx.Error("scenario.name",
+                "must contain only [A-Za-z0-9_-] (used as a test name)");
+      break;
     }
   }
   reader.ReadString("description", &out->description);
-  reader.ReadUint("seed", &out->seed);
+  reader.Read(kTopFields, out);
 
   // Cluster first: node references downstream validate against its shape.
-  if (const JsonValue* v = reader.Claim("cluster")) {
-    ParseClusterSection(*v, "scenario.cluster", &errs, &out->cluster);
-  }
-  if (const JsonValue* v = reader.Claim("cost")) {
-    ParseCostSection(*v, "scenario.cost", &errs, &out->cost);
-  }
-  if (const JsonValue* v = reader.Claim("workload")) {
-    ParseWorkloadSection(*v, "scenario.workload", &errs, &out->workload);
-  } else {
-    errs.Add("scenario.workload", "missing required field");
-  }
-  if (const JsonValue* v = reader.Claim("consistency")) {
-    ParseConsistencySection(*v, "scenario.consistency", &errs,
-                            &out->consistency);
-  }
-  if (const JsonValue* v = reader.Claim("drive")) {
-    ParseDriveSection(*v, "scenario.drive", &errs, &out->drive);
-  }
-  if (const JsonValue* v = reader.Claim("timeline")) {
+  ReadSection(&reader, "cluster", false, [&](ObjectReader* section) {
+    section->Read(kClusterFields, &out->cluster);
+    ReadSpeeds(section, &out->cluster);
+  });
+  ReadSection(&reader, "cost", false,
+              [&](ObjectReader* section) { ReadCost(section, &out->cost); });
+  ReadSection(&reader, "workload", true, [&](ObjectReader* section) {
+    ReadWorkloadKind(section, &out->workload.kind);
+    section->Read(kWorkloadFields, &out->workload);
+  });
+  ReadSection(&reader, "consistency", false, [&](ObjectReader* section) {
+    section->Read(kConsistencyFields, &out->consistency);
+  });
+  ReadSection(&reader, "drive", false, [&](ObjectReader* section) {
+    section->Read(kDriveFields, &out->drive);
+  });
+  if (const JsonValue* v = reader.Take("timeline")) {
     if (!v->is_array()) {
-      errs.Add("scenario.timeline", "expected array");
+      ctx.Error("scenario.timeline", "expected array");
     } else {
       for (size_t i = 0; i < v->array.size(); ++i) {
         TimelineAction action;
-        ParseTimelineAction(v->array[i],
-                            "scenario.timeline[" + std::to_string(i) + "]",
-                            out->cluster, &errs, &action);
+        ReadAction(v->array[i], "scenario.timeline[" + std::to_string(i) + "]",
+                   ctx, &action);
         out->timeline.push_back(std::move(action));
       }
     }
   }
-  if (const JsonValue* v = reader.Claim("chaos")) {
-    ParseChaosSection(*v, "scenario.chaos", &errs, &out->chaos);
-  }
-  if (const JsonValue* v = reader.Claim("provenance")) {
-    ParseProvenanceSection(*v, "scenario.provenance", &errs,
-                           &out->provenance);
+  ReadSection(&reader, "chaos", false, [&](ObjectReader* section) {
+    section->Read(kChaosFields, &out->chaos);
+  });
+  if (const JsonValue* v = reader.Take("provenance")) {
+    ParseProvenanceSection(*v, "scenario.provenance", ctx, &out->provenance);
   }
 
   // Cross-section checks.
   if (out->drive.warmup_tuples > out->workload.tuples) {
-    errs.Add("scenario.drive.warmup_tuples",
-             "exceeds scenario.workload.tuples (" +
-                 std::to_string(out->workload.tuples) + ")");
+    ctx.Error("scenario.drive.warmup_tuples",
+              "exceeds scenario.workload.tuples (" +
+                  std::to_string(out->workload.tuples) + ")");
   }
   if (out->cluster.hosts > out->cluster.processors) {
-    errs.Add("scenario.cluster.hosts", "must be <= processors");
+    ctx.Error("scenario.cluster.hosts", "must be <= processors");
   }
 
   reader.RejectUnknown();
@@ -740,12 +675,9 @@ JsonValue ScenarioToJson(const Scenario& s) {
   if (!s.description.empty()) {
     root.Add("description", JsonValue::Of(s.description));
   }
-  root.Add("seed", JsonValue::Of(static_cast<double>(s.seed)));
+  root = WriteFields(kTopFields, s, std::move(root));
 
-  JsonValue cluster = JsonValue::MakeObject();
-  cluster.Add("processors",
-              JsonValue::Of(static_cast<double>(s.cluster.processors)));
-  cluster.Add("hosts", JsonValue::Of(static_cast<double>(s.cluster.hosts)));
+  JsonValue cluster = WriteFields(kClusterFields, s.cluster);
   if (!s.cluster.processor_speeds.empty()) {
     JsonValue speeds = JsonValue::MakeArray();
     for (double v : s.cluster.processor_speeds) {
@@ -766,89 +698,23 @@ JsonValue ScenarioToJson(const Scenario& s) {
   }
 
   JsonValue workload = JsonValue::MakeObject();
-  workload.Add("kind", JsonValue::Of(std::string(
-                           WorkloadKindName(s.workload.kind))));
-  workload.Add("tuples",
-               JsonValue::Of(static_cast<double>(s.workload.tuples)));
-  workload.Add("rate", JsonValue::Of(s.workload.rate));
-  workload.Add("batch", JsonValue::Of(static_cast<double>(s.workload.batch)));
-  workload.Add("batch_mode", JsonValue::Of(s.workload.batch_mode));
-  workload.Add("stream_seed",
-               JsonValue::Of(static_cast<double>(s.workload.stream_seed)));
-  root.Add("workload", std::move(workload));
-
-  JsonValue consistency = JsonValue::MakeObject();
-  consistency.Add("delay_bound", JsonValue::Of(static_cast<double>(
-                                     s.consistency.delay_bound)));
-  root.Add("consistency", std::move(consistency));
-
-  JsonValue drive = JsonValue::MakeObject();
-  drive.Add("warmup_tuples",
-            JsonValue::Of(static_cast<double>(s.drive.warmup_tuples)));
-  drive.Add("warmup_timeout", JsonValue::Of(s.drive.warmup_timeout));
-  drive.Add("pause_ingest", JsonValue::Of(s.drive.pause_ingest));
-  drive.Add("settle_seconds", JsonValue::Of(s.drive.settle_seconds));
-  drive.Add("query_at_start", JsonValue::Of(s.drive.query_at_start));
-  drive.Add("sample_start_seconds",
-            JsonValue::Of(s.drive.sample_start_seconds));
-  drive.Add("bucket_seconds", JsonValue::Of(s.drive.bucket_seconds));
-  drive.Add("sample_count",
-            JsonValue::Of(static_cast<double>(s.drive.sample_count)));
-  drive.Add("wait_for_query", JsonValue::Of(s.drive.wait_for_query));
-  drive.Add("query_timeout", JsonValue::Of(s.drive.query_timeout));
-  root.Add("drive", std::move(drive));
+  workload.Add("kind",
+               JsonValue::Of(std::string(WorkloadKindName(s.workload.kind))));
+  root.Add("workload",
+           WriteFields(kWorkloadFields, s.workload, std::move(workload)));
+  root.Add("consistency", WriteFields(kConsistencyFields, s.consistency));
+  root.Add("drive", WriteFields(kDriveFields, s.drive));
 
   if (!s.timeline.empty()) {
     JsonValue timeline = JsonValue::MakeArray();
     for (const TimelineAction& a : s.timeline) {
-      JsonValue action = JsonValue::MakeObject();
-      action.Add("action", JsonValue::Of(std::string(ActionKindName(a.kind))));
-      action.Add("at", JsonValue::Of(a.at));
-      using Kind = TimelineAction::Kind;
-      switch (a.kind) {
-        case Kind::kKill:
-        case Kind::kRecover:
-        case Kind::kRestoreSpeed:
-          action.Add("node", JsonValue::Of(a.node.ToString()));
-          break;
-        case Kind::kCrashRestart:
-          action.Add("node", JsonValue::Of(a.node.ToString()));
-          action.Add("downtime", JsonValue::Of(a.downtime));
-          break;
-        case Kind::kDropLink:
-        case Kind::kRestoreLink:
-          action.Add("src", JsonValue::Of(a.src.ToString()));
-          action.Add("dst", JsonValue::Of(a.dst.ToString()));
-          break;
-        case Kind::kPartition:
-        case Kind::kHealPartition: {
-          JsonValue side = JsonValue::MakeArray();
-          for (const NodeRef& ref : a.side) {
-            side.array.push_back(JsonValue::Of(ref.ToString()));
-          }
-          action.Add("side", std::move(side));
-          break;
-        }
-        case Kind::kSlowNode:
-          action.Add("node", JsonValue::Of(a.node.ToString()));
-          action.Add("factor", JsonValue::Of(a.factor));
-          break;
-        case Kind::kSetRate:
-          action.Add("rate", JsonValue::Of(a.rate));
-          break;
-        case Kind::kRestoreRate:
-          break;
-      }
-      timeline.array.push_back(std::move(action));
+      timeline.array.push_back(WriteAction(a));
     }
     root.Add("timeline", std::move(timeline));
   }
 
   if (s.chaos.commit_regression_after >= 0.0) {
-    JsonValue chaos = JsonValue::MakeObject();
-    chaos.Add("commit_regression_after",
-              JsonValue::Of(s.chaos.commit_regression_after));
-    root.Add("chaos", std::move(chaos));
+    root.Add("chaos", WriteFields(kChaosFields, s.chaos));
   }
 
   if (!s.provenance.empty()) {

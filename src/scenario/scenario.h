@@ -140,6 +140,16 @@ struct Scenario {
 const char* WorkloadKindName(ScenarioWorkload::Kind kind);
 const char* ActionKindName(TimelineAction::Kind kind);
 
+/// A `cost` key the fuzzer perturbs, with its CostModel default.
+struct CostKnob {
+  const char* name;
+  double default_value;
+};
+
+/// The cost knobs MutateScenario perturbs, in schema order: the rows of
+/// the schema's cost table that are marked as fuzzed.
+std::vector<CostKnob> FuzzedCostKnobs();
+
 /// Parses and validates a scenario document. Returns true on success;
 /// otherwise `*errors` lists every problem found, each prefixed with its
 /// dotted field path rooted at "scenario." (the validator keeps going

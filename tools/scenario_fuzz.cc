@@ -8,12 +8,16 @@
 //
 // Usage: scenario_fuzz --corpus=DIR [--budget-runs=N] [--seed=S]
 //                      [--shrink-budget=N] [--out=DIR] [--verbose]
+// N and S are positive decimal integers; anything else is a usage error.
 
 #include <algorithm>
+#include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -29,6 +33,22 @@ bool FlagValue(const char* arg, const char* name, const char** value) {
   return true;
 }
 
+/// Parses `text` as a decimal integer in [1, max]; false when it is
+/// empty, signed, has trailing characters, is zero or is out of range.
+template <typename T>
+bool ParsePositive(const char* text, T* out) {
+  if (*text < '0' || *text > '9') return false;
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long v = std::strtoull(text, &end, 10);
+  if (*end != '\0' || errno == ERANGE || v == 0 ||
+      v > std::numeric_limits<T>::max()) {
+    return false;
+  }
+  *out = static_cast<T>(v);
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -36,15 +56,15 @@ int main(int argc, char** argv) {
   tornado::scenario::FuzzOptions options;
   for (int i = 1; i < argc; ++i) {
     const char* value = nullptr;
+    bool number_ok = true;
     if (FlagValue(argv[i], "--corpus", &value)) {
       corpus_dir = value;
     } else if (FlagValue(argv[i], "--budget-runs", &value)) {
-      options.budget_runs = static_cast<uint32_t>(std::strtoul(value, nullptr, 10));
+      number_ok = ParsePositive(value, &options.budget_runs);
     } else if (FlagValue(argv[i], "--seed", &value)) {
-      options.seed = std::strtoull(value, nullptr, 10);
+      number_ok = ParsePositive(value, &options.seed);
     } else if (FlagValue(argv[i], "--shrink-budget", &value)) {
-      options.shrink_budget =
-          static_cast<uint32_t>(std::strtoul(value, nullptr, 10));
+      number_ok = ParsePositive(value, &options.shrink_budget);
     } else if (FlagValue(argv[i], "--out", &value)) {
       options.out_dir = value;
     } else if (std::strcmp(argv[i], "--verbose") == 0) {
@@ -53,6 +73,11 @@ int main(int argc, char** argv) {
       std::fprintf(stderr,
                    "usage: scenario_fuzz --corpus=DIR [--budget-runs=N] "
                    "[--seed=S] [--shrink-budget=N] [--out=DIR] [--verbose]\n");
+      return 2;
+    }
+    if (!number_ok) {
+      std::fprintf(stderr, "scenario_fuzz: %s: want a positive integer\n",
+                   argv[i]);
       return 2;
     }
   }
