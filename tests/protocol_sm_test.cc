@@ -84,6 +84,44 @@ struct ObservedCommit {
   Iteration iteration;
 };
 
+// The max-propagation program as a BatchVertexProgram (with the default
+// OnUpdateBatch replay) that logs every gathered update and charges a
+// source-dependent cost for it, so both the gather order and the order in
+// which costs accumulate are observable.
+class LoggingBatchProgram : public BatchVertexProgram {
+ public:
+  struct Gathered {
+    VertexId vertex;
+    VertexId source;
+    Iteration iteration;
+    Iteration ctx_iteration;
+    bool operator==(const Gathered&) const = default;
+  };
+
+  std::unique_ptr<VertexState> CreateState(VertexId id) const override {
+    return inner_.CreateState(id);
+  }
+  std::unique_ptr<VertexState> DeserializeState(
+      BufferReader* reader) const override {
+    return inner_.DeserializeState(reader);
+  }
+  bool OnInput(VertexContext& ctx, const Delta& delta) const override {
+    return inner_.OnInput(ctx, delta);
+  }
+  bool OnUpdate(VertexContext& ctx, VertexId source, Iteration iteration,
+                const VertexUpdate& update) const override {
+    gathered.push_back({ctx.id(), source, iteration, ctx.iteration()});
+    ctx.AddCost(1e-3 * static_cast<double>(source));
+    return inner_.OnUpdate(ctx, source, iteration, update);
+  }
+  void Scatter(VertexContext& ctx) const override { inner_.Scatter(ctx); }
+
+  mutable std::vector<Gathered> gathered;
+
+ private:
+  TestProgram inner_;
+};
+
 class RecordingObserver : public EngineObserver {
  public:
   void OnInputGathered(LoopId, VertexId) override { ++inputs; }
@@ -98,6 +136,10 @@ class RecordingObserver : public EngineObserver {
     commits.push_back({loop, vertex, iteration});
   }
   void OnBlock(LoopId, LoopEpoch, VertexId, Iteration) override { ++blocks; }
+  void OnUnblocked(LoopId, LoopEpoch, VertexId vertex,
+                   Iteration iteration) override {
+    unblocked.emplace_back(vertex, iteration);
+  }
   void OnFlush(LoopId, uint64_t versions) override { flushed += versions; }
 
   uint64_t inputs = 0;
@@ -106,12 +148,15 @@ class RecordingObserver : public EngineObserver {
   uint64_t blocks = 0;
   uint64_t flushed = 0;
   std::vector<ObservedCommit> commits;
+  std::vector<std::pair<VertexId, Iteration>> unblocked;
 };
 
 class Harness {
  public:
-  explicit Harness(uint64_t delay_bound = 8) {
-    config_.program = std::make_shared<TestProgram>();
+  explicit Harness(uint64_t delay_bound = 8,
+                   std::shared_ptr<VertexProgram> program = nullptr) {
+    config_.program =
+        program ? std::move(program) : std::make_shared<TestProgram>();
     config_.delay_bound = delay_bound;
     config_.num_processors = 1;
     sm_ = std::make_unique<ProtocolStateMachine>(
@@ -449,6 +494,83 @@ TEST(ProtocolStateMachineTest, SynchronousPolicyRunsLockStepWithoutPrepares) {
   EXPECT_EQ(h.observer_.commits[1].vertex, 2u);
   EXPECT_EQ(h.observer_.prepares, 0u);
   EXPECT_DOUBLE_EQ(h.ValueOf(kMainLoop, 2), 5.0);
+}
+
+// Updates buffered at the delay bound are gathered, once released, exactly
+// as if they had arrived live: one update at a time, in arrival order, with
+// the prepare check after each. The program derives from
+// BatchVertexProgram, so this holds whether or not a program offers a
+// batch entry point.
+TEST(ProtocolStateMachineTest, ReleasedBlockedUpdatesGatherLikeLiveOnes) {
+  auto program = std::make_shared<LoggingBatchProgram>();
+  Harness h(/*delay_bound=*/3, program);
+
+  // v10 gets consumer v11 and commits once (iteration 1); v11 follows.
+  h.PumpToQuiescence(h.Input(10, EdgeDelta{10, 11, 1.0, true}));
+  ASSERT_EQ(h.observer_.commits.size(), 2u);
+  program->gathered.clear();
+
+  // tau = 0, B = 3: iteration-2 updates sit at the bound and are buffered.
+  // Producer 3's is a commit notification without a value.
+  auto update_from = [&](VertexId src, double value) {
+    UpdateMsg upd;
+    upd.loop = kMainLoop;
+    upd.src_vertex = src;
+    upd.dst_vertex = 10;
+    upd.iteration = 2;
+    if (value < 0) {
+      upd.update.kind = kNoopUpdateKind;
+    } else {
+      upd.update.kind = 1;
+      upd.update.values = {value};
+    }
+    EXPECT_TRUE(h.Dispatch(upd).messages.empty());
+  };
+  update_from(2, 4.0);
+  update_from(3, -1.0);
+  update_from(4, 6.0);
+  update_from(5, 5.0);
+  EXPECT_EQ(h.observer_.blocks, 4u);
+  EXPECT_TRUE(program->gathered.empty());
+
+  // Terminating iterations 0 and 1 (tau = 2, horizon 4) releases them. The
+  // first value dirties v10, which prepares toward v11 at iteration 3; the
+  // rest are gathered while that prepare is outstanding.
+  EngineActions out = h.Terminate(1);
+  EXPECT_EQ(h.observer_.unblocked,
+            (std::vector<std::pair<VertexId, Iteration>>{
+                {10, 2}, {10, 2}, {10, 2}, {10, 2}}));
+  using G = LoggingBatchProgram::Gathered;
+  EXPECT_EQ(program->gathered,
+            (std::vector<G>{{10, 2, 2, 3}, {10, 4, 2, 3}, {10, 5, 2, 3}}));
+  ASSERT_EQ(out.messages.size(), 1u);
+  auto prepares = MsgsOf<PrepareMsg>(out);
+  ASSERT_EQ(prepares.size(), 1u);
+  EXPECT_EQ(prepares[0]->src_vertex, 10u);
+  EXPECT_EQ(prepares[0]->dst_vertex, 11u);
+  const double per_update =
+      h.config_.cost.per_update_cpu + program->GatherCost();
+  double cost = 0.0;
+  for (VertexId source : {2, 4, 5}) {
+    cost += 1e-3 * static_cast<double>(source);
+    cost += per_update;
+  }
+  EXPECT_EQ(out.cost, cost);
+  EXPECT_EQ(h.sessions_.Get(kMainLoop)->blocked_count, 0u);
+
+  // v11's ack lets v10 commit the maximum it gathered (6.0).
+  EngineActions ack = h.Pump(out);
+  ASSERT_EQ(MsgsOf<AckMsg>(ack).size(), 1u);
+  EngineActions commit = h.Pump(ack);
+  ASSERT_EQ(h.observer_.commits.size(), 3u);
+  EXPECT_EQ(h.observer_.commits[2].vertex, 10u);
+  EXPECT_EQ(h.observer_.commits[2].iteration, 3u);
+  auto updates = MsgsOf<UpdateMsg>(commit);
+  ASSERT_EQ(updates.size(), 1u);
+  EXPECT_EQ(updates[0]->dst_vertex, 11u);
+  EXPECT_EQ(updates[0]->iteration, 3u);
+  ASSERT_EQ(updates[0]->update.values.size(), 1u);
+  EXPECT_EQ(updates[0]->update.values[0], 6.0);
 }
 
 TEST(ProtocolStateMachineTest, BuildReportFlushesDirtyVersions) {
