@@ -83,10 +83,8 @@ struct KMeansShardState : VertexState {
 /// paper's observation that KMeans does not profit from the main-loop
 /// approximation the way SSSP/PageRank do.
 ///
-/// Opts into the batch gather path (default replay: OnUpdate carries its
-/// own cost accounting); distance scans and aggregate folds run on the
-/// SIMD kernels.
-class KMeansProgram : public BatchVertexProgram {
+/// Distance scans and aggregate folds run on the SIMD kernels.
+class KMeansProgram : public VertexProgram {
  public:
   explicit KMeansProgram(KMeansOptions options) : options_(options) {}
 

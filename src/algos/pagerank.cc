@@ -127,23 +127,6 @@ bool PageRankProgram::OnUpdate(VertexContext& ctx, VertexId source,
   return changed;
 }
 
-bool PageRankProgram::OnUpdateBatch(VertexContext& ctx,
-                                    const QueuedUpdate* items, size_t n,
-                                    double per_item_cost) const {
-  auto& state = static_cast<PageRankState&>(*ctx.state());
-  bool changed_any = false;
-  for (size_t i = 0; i < n; ++i) {
-    TCHECK_EQ(items[i].update->kind, kContribution);
-    if (ApplyContribution(&state, items[i].source,
-                          items[i].update->values[0])) {
-      changed_any = true;
-    }
-    ctx.AddCost(per_item_cost);
-  }
-  if (changed_any) state.rank_stale = true;
-  return changed_any;
-}
-
 void PageRankProgram::OnRestore(VertexState* state) const {
   auto& pr = static_cast<PageRankState&>(*state);
   for (size_t i = 0; i < pr.last_sent.size(); ++i) {

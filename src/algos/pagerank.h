@@ -49,10 +49,10 @@ struct PageRankState : VertexState {
 
 /// Incremental PageRank over a retractable edge stream (Figures 5b, 9,
 /// Table 3). The main loop keeps relaxing ranks as edges arrive — the
-/// approximation whose error the branch loops resolve. Opts into the
-/// batch gather path: a run of queued contributions is applied in one
-/// pass and the rank re-sum is deferred to Scatter (the memoized flag).
-class PageRankProgram : public BatchVertexProgram {
+/// approximation whose error the branch loops resolve. Gathering a
+/// contribution only marks the rank stale; the re-sum is deferred to
+/// Scatter (the memoized flag).
+class PageRankProgram : public VertexProgram {
  public:
   explicit PageRankProgram(double damping = 0.85, double tolerance = 1e-3)
       : damping_(damping), tolerance_(tolerance) {}
@@ -64,8 +64,6 @@ class PageRankProgram : public BatchVertexProgram {
   bool OnInput(VertexContext& ctx, const Delta& delta) const override;
   bool OnUpdate(VertexContext& ctx, VertexId source, Iteration iteration,
                 const VertexUpdate& update) const override;
-  bool OnUpdateBatch(VertexContext& ctx, const QueuedUpdate* items, size_t n,
-                     double per_item_cost) const override;
   void Scatter(VertexContext& ctx) const override;
   void OnRestore(VertexState* state) const override;
 

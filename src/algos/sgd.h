@@ -126,10 +126,8 @@ struct SgdShardState : VertexState {
 /// starting from the main loop's model, run to convergence under the
 /// epsilon policy.
 ///
-/// Opts into the batch gather path (default replay: ParamUpdate carries
-/// its own cost accounting); dense weight-vector arithmetic runs on the
-/// SIMD kernels.
-class SgdProgram : public BatchVertexProgram {
+/// Dense weight-vector arithmetic runs on the SIMD kernels.
+class SgdProgram : public VertexProgram {
  public:
   explicit SgdProgram(SgdOptions options) : options_(options) {}
 

@@ -137,20 +137,6 @@ bool SsspProgram::OnUpdate(VertexContext& ctx, VertexId source,
   return changed;
 }
 
-bool SsspProgram::OnUpdateBatch(VertexContext& ctx, const QueuedUpdate* items,
-                                size_t n, double per_item_cost) const {
-  auto& state = static_cast<SsspState&>(*ctx.state());
-  bool changed_any = false;
-  for (size_t i = 0; i < n; ++i) {
-    if (ApplyCandidate(&state, items[i].source, *items[i].update)) {
-      changed_any = true;
-    }
-    ctx.AddCost(per_item_cost);
-  }
-  if (changed_any) state.length_stale = true;
-  return changed_any;
-}
-
 void SsspProgram::OnRestore(VertexState* state) const {
   auto& sssp = static_cast<SsspState&>(*state);
   for (size_t i = 0; i < sssp.last_sent.size(); ++i) {

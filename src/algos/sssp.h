@@ -64,9 +64,9 @@ struct SsspState : VertexState {
 /// initial guess; the delay-bound and fault-tolerance experiments use this
 /// to study pure branch-loop behaviour.
 ///
-/// Opts into the batch gather path: a run of queued candidate updates is
-/// applied in one pass and the min re-reduction is deferred to Scatter.
-class SsspProgram : public BatchVertexProgram {
+/// Gathering a candidate only marks the minimum stale; the re-reduction is
+/// deferred to Scatter (the memoized flag).
+class SsspProgram : public VertexProgram {
  public:
   /// `max_distance` caps propagated distances: candidates at or above it
   /// are treated as unreachable. This bounds the count-to-infinity rounds
@@ -84,8 +84,6 @@ class SsspProgram : public BatchVertexProgram {
   bool OnInput(VertexContext& ctx, const Delta& delta) const override;
   bool OnUpdate(VertexContext& ctx, VertexId source, Iteration iteration,
                 const VertexUpdate& update) const override;
-  bool OnUpdateBatch(VertexContext& ctx, const QueuedUpdate* items, size_t n,
-                     double per_item_cost) const override;
   void Scatter(VertexContext& ctx) const override;
 
   /// Forces every remembered emission to be re-sent on the next Scatter —

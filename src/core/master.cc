@@ -166,10 +166,8 @@ void Master::TryTerminate(LoopControl& lc) {
   // commit at.
   Iteration min_work = kNoIteration;
   std::map<Iteration, IterationCounters> sum;
-  uint64_t blocked = 0;
   for (const auto& slot : lc.latest) {
     if (slot->min_work_iter < min_work) min_work = slot->min_work_iter;
-    blocked += slot->blocked_updates;
     for (const auto& [iter, c] : slot->buckets) {
       if (iter < base) continue;
       IterationCounters& agg = sum[iter];
@@ -208,17 +206,14 @@ void Master::TryTerminate(LoopControl& lc) {
   // update can only cause commits at >= j+1 — but it blocks everything
   // beyond j.
   Iteration candidate = limit;
-  bool fully_settled = true;
   for (const auto& [iter, c] : sum) {
     if (iter > candidate) break;
     if (c.sent != c.gathered) {
-      fully_settled = false;
       if (iter < candidate) candidate = iter;
       break;
     }
   }
   if (candidate < base) return;
-  (void)fully_settled;
 
   // Double collection: the aggregated picture must be identical across two
   // successive report rounds (every processor reported in between) before
@@ -235,7 +230,6 @@ void Master::TryTerminate(LoopControl& lc) {
     if (iter > candidate) break;
     picture.push_back({iter, c.committed, c.sent, c.gathered});
   }
-  (void)blocked;
 
   if (!lc.has_snapshot || lc.snapshot_candidate != candidate ||
       lc.snapshot != picture) {
@@ -608,45 +602,6 @@ bool Master::LoadJournal() {
 // Introspection
 // ---------------------------------------------------------------------------
 
-void Master::DumpTermination(LoopId loop) const {
-  auto it = loops_.find(loop);
-  if (it == loops_.end()) {
-    TLOG_INFO << "master: no loop " << loop;
-    return;
-  }
-  const LoopControl& lc = it->second;
-  TLOG_INFO << "master loop " << loop << " epoch " << lc.epoch
-            << " last_terminated=" << static_cast<int64_t>(lc.last_terminated)
-            << " converged=" << lc.converged
-            << " has_snapshot=" << lc.has_snapshot;
-  std::map<Iteration, IterationCounters> sum;
-  Iteration min_work = kNoIteration;
-  for (uint32_t p = 0; p < lc.latest.size(); ++p) {
-    if (!lc.latest[p].has_value()) {
-      TLOG_INFO << "  proc " << p << ": no report";
-      continue;
-    }
-    const ProgressMsg& m = *lc.latest[p];
-    TLOG_INFO << "  proc " << p << " seq=" << m.report_seq << " tau="
-              << m.local_tau << " min_work="
-              << static_cast<int64_t>(m.min_work_iter)
-              << " blocked=" << m.blocked_updates;
-    if (m.min_work_iter < min_work) min_work = m.min_work_iter;
-    for (const auto& [iter, c] : m.buckets) {
-      IterationCounters& agg = sum[iter];
-      agg.committed += c.committed;
-      agg.sent += c.sent;
-      agg.gathered += c.gathered;
-      agg.owned += c.owned;
-    }
-  }
-  for (const auto& [iter, c] : sum) {
-    TLOG_INFO << "  bucket " << iter << " committed=" << c.committed
-              << " sent=" << c.sent << " gathered=" << c.gathered
-              << " owned=" << c.owned;
-  }
-}
-
 Iteration Master::LastTerminated(LoopId loop) const {
   auto it = loops_.find(loop);
   return it == loops_.end() ? kNoIteration : it->second.last_terminated;
@@ -674,11 +629,6 @@ uint64_t Master::TotalPrepares(LoopId loop) const {
     if (slot.has_value()) total += slot->prepares_sent;
   }
   return total;
-}
-
-bool Master::IsConverged(LoopId loop) const {
-  auto it = loops_.find(loop);
-  return it != loops_.end() && it->second.converged;
 }
 
 }  // namespace tornado

@@ -68,11 +68,7 @@ class Master : public Node {
   uint64_t TotalCommitted(LoopId loop) const;
   uint64_t TotalPrepares(LoopId loop) const;
 
-  bool IsConverged(LoopId loop) const;
   const std::vector<QueryRecord>& queries() const { return queries_; }
-
-  /// Logs the termination-detector view of a loop (debugging aid).
-  void DumpTermination(LoopId loop) const;
 
   /// Subscribes a trace recorder to master decisions (loop forks,
   /// termination, convergence, merges, recovery rollbacks). Pass nullptr

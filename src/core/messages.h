@@ -115,7 +115,6 @@ struct ProgressMsg : Payload {
   uint64_t blocked_updates = 0;  // updates buffered at the delay bound
   uint64_t inputs_gathered = 0;  // cumulative external inputs gathered
   uint64_t prepares_sent = 0;    // cumulative PREPARE messages sent
-  double progress_sum = 0.0;     // cumulative user progress metric
   uint64_t report_seq = 0;       // monotonically increasing per processor
   /// Buckets >= the last globally terminated iteration.
   std::map<Iteration, IterationCounters> buckets;

@@ -34,9 +34,6 @@ class Processor : public Node {
   void OnMessage(NodeId src, const Payload& msg) override;
   void OnRestart() override;
 
-  /// Logs the protocol state of every session (debugging aid for tests).
-  void DumpState() const { machine_.DumpState(); }
-
   /// Begins the periodic progress-report timer. Called once by the cluster.
   void Start();
 

@@ -149,23 +149,18 @@ class VertexProgram {
   virtual double GatherCost() const { return 0.0; }
   virtual double ScatterCost() const { return 0.0; }
 
-  /// Non-null when this program opts into the batch gather path; the
-  /// engine then drains queued update runs through OnUpdateBatch instead
-  /// of per-update OnUpdate calls. See BatchVertexProgram.
+  /// Non-null for a BatchVertexProgram. The engine never asks: it gathers
+  /// every update, a released blocked one included, through OnUpdate.
   virtual const class BatchVertexProgram* AsBatch() const { return nullptr; }
 };
 
-/// Opt-in extension: programs that can gather a *run* of queued updates
-/// for one vertex in a single pass over their state (the SoA batch
-/// kernels in src/kernel/). The engine only forms runs whose intermediate
-/// per-update prepare checks are provably no-ops (the vertex is already
-/// preparing, or is still waiting on producers), so draining through
-/// OnUpdateBatch is message-for-message identical to the per-update path
-/// — docs/KERNELS.md spells out the equivalence argument.
+/// A program that can also gather a run of updates for one vertex in one
+/// call. No engine path or shipped program uses it; it stays only because
+/// perfbench's TimedBatchProgram wrapper names it (together with AsBatch),
+/// and both go once that wrapper does.
 class BatchVertexProgram : public VertexProgram {
  public:
-  /// One queued update, exactly the OnUpdate argument triple. The pointed
-  /// -to update lives until OnUpdateBatch returns.
+  /// One queued update, exactly the OnUpdate argument triple.
   struct QueuedUpdate {
     VertexId source;
     Iteration iteration;
@@ -174,17 +169,9 @@ class BatchVertexProgram : public VertexProgram {
 
   const BatchVertexProgram* AsBatch() const final { return this; }
 
-  /// Gathers `items[0..n)` in order. Returns whether any state changed
-  /// (the OR of what per-update OnUpdate calls would have returned).
-  ///
-  /// Cost contract: after applying each item (including any AddCost the
-  /// per-update path would make for it), the implementation must call
-  /// `ctx.AddCost(per_item_cost)` — this reproduces the per-update
-  /// accounting order bit-for-bit, which the deterministic virtual clock
-  /// depends on. The default implementation just replays OnUpdate.
-  ///
-  /// ctx.iteration() is the vertex's iteration after the whole run was
-  /// bookkept; implementations must not depend on it varying per item.
+  /// Gathers `items[0..n)` in order, calling `ctx.AddCost(per_item_cost)`
+  /// after each, and returns whether any state changed. The default
+  /// replays OnUpdate.
   virtual bool OnUpdateBatch(VertexContext& ctx, const QueuedUpdate* items,
                              size_t n, double per_item_cost) const {
     bool changed = false;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <set>
-#include <string>
 #include <utility>
 
 #include "common/logging.h"
@@ -177,37 +176,6 @@ void ProtocolStateMachine::Reset() {
   sessions_->Clear();
   orphans_.clear();
   observer_->OnEngineReset(index_);
-}
-
-void ProtocolStateMachine::DumpState() const {
-  // Sorted walk: dump output must be deterministic run-to-run (DET-003).
-  ForEachOrdered(sessions_->loops(), [&](LoopId loop, const LoopState& ls) {
-    TLOG_INFO << "proc " << index_ << " loop " << loop << " epoch "
-              << ls.epoch << " tau=" << ls.tau
-              << " vertices=" << ls.vertices.size()
-              << " blocked=" << ls.blocked_count
-              << " stalled=" << ls.stalled.size();
-    ForEachOrdered(ls.vertices, [&](VertexId v, const VertexSession& s) {
-      if (!s.dirty && !s.update_time.has_value() && s.prepare_list.empty() &&
-          s.pending_inputs.empty()) {
-        return;
-      }
-      std::string plist, wlist;
-      for (VertexId p : s.prepare_list) plist += std::to_string(p) + ",";
-      for (VertexId w : s.waiting_list) wlist += std::to_string(w) + ",";
-      TLOG_INFO << "  v" << v << " iter=" << s.iter << " last_commit="
-                << static_cast<int64_t>(s.last_commit) << " dirty=" << s.dirty
-                << " preparing=" << s.update_time.has_value()
-                << " prepare_list=[" << plist << "] waiting=[" << wlist
-                << "] pending_inputs=" << s.pending_inputs.size()
-                << " pending_acks=" << s.pending_list.size();
-    });
-    for (const auto& [iter, c] : ls.buckets) {
-      TLOG_INFO << "  bucket " << iter << " committed=" << c.committed
-                << " sent=" << c.sent << " owned=" << c.owned
-                << " gathered=" << c.gathered;
-    }
-  });
 }
 
 // ---------------------------------------------------------------------------
@@ -547,7 +515,6 @@ void ProtocolStateMachine::Commit(LoopState& ls, VertexSession& s,
 
   ls.buckets[iteration].committed++;
   ls.buckets[iteration].progress += ctx.progress;
-  ls.progress[iteration] += ctx.progress;
 
   PersistVertex(ls, s, iteration, out);
   // Fired after the persist so checkers can cross-examine the store.
@@ -601,105 +568,26 @@ void ProtocolStateMachine::HandleTerminated(const TerminatedMsg& msg,
       break;
     }
   }
-  for (auto it = ls->progress.begin(); it != ls->progress.end();) {
-    if (it->first + 1 < ls->tau) {
-      it = ls->progress.erase(it);
-    } else {
-      break;
-    }
-  }
 
   ReleaseBlocked(*ls, out);
   RetryStalled(*ls, out);
 }
 
 void ProtocolStateMachine::ReleaseBlocked(LoopState& ls, EngineActions* out) {
-  const BatchVertexProgram* batch_prog = config_->program->AsBatch();
-  // Updates with iteration <= tau + B - 2 are now gatherable.
+  // Updates with iteration <= tau + B - 2 are now gatherable, each exactly
+  // as if it had just arrived.
   while (!ls.blocked.empty() &&
          !policy_.ShouldBlock(ls.blocked.begin()->first, ls.tau)) {
     std::vector<BlockedUpdate> batch = std::move(ls.blocked.begin()->second);
     ls.blocked.erase(ls.blocked.begin());
-    size_t i = 0;
-    while (i < batch.size()) {
-      const BlockedUpdate& b = batch[i];
-      VertexSession& s = GetOrCreateVertex(ls, b.dst);
-      if (batch_prog != nullptr) {
-        i = GatherUpdateRun(ls, s, *batch_prog, batch, i, out);
-        continue;
-      }
+    for (const BlockedUpdate& b : batch) {
       TCHECK_GE(ls.blocked_count, 1u);
       --ls.blocked_count;
       observer_->OnUnblocked(ls.loop, ls.epoch, b.dst, b.iteration);
-      GatherUpdate(ls, s, b.src, b.iteration, b.update, out);
-      ++i;
+      GatherUpdate(ls, GetOrCreateVertex(ls, b.dst), b.src, b.iteration,
+                   b.update, out);
     }
   }
-}
-
-size_t ProtocolStateMachine::GatherUpdateRun(
-    LoopState& ls, VertexSession& s, const BatchVertexProgram& prog,
-    const std::vector<BlockedUpdate>& batch, size_t i, EngineActions* out) {
-  // Deferring an update's gather is legal only while its post-bookkeeping
-  // MaybePrepare is provably a no-op irrespective of the dirty flag: the
-  // vertex is mid-prepare (update_time set) or still waiting on producers
-  // (prepare_list non-empty). OnUpdate can touch neither, so the whole
-  // run can be applied in one OnUpdateBatch pass with message-for-message
-  // identical behavior. The moment the condition fails — or the run ends
-  // — the accumulated items are flushed before anything can observe the
-  // deferred state.
-  std::vector<BatchVertexProgram::QueuedUpdate> run;
-  const double per_item_cost =
-      config_->cost.per_update_cpu + config_->program->GatherCost();
-  auto flush = [&]() {
-    if (run.empty()) return;
-    EngineContext ctx(EngineContext::Mode::kUpdate, ls.loop, s.iter, &s,
-                      &out->cost);
-    if (prog.OnUpdateBatch(ctx, run.data(), run.size(), per_item_cost)) {
-      s.dirty = true;
-      SyncActive(ls, s);
-    }
-    run.clear();
-  };
-  size_t consumed = i;
-  while (consumed < batch.size() && batch[consumed].dst == s.id) {
-    const BlockedUpdate& b = batch[consumed];
-    // Bookkeeping identical to the per-update path (GatherUpdate).
-    TCHECK_GE(ls.blocked_count, 1u);
-    --ls.blocked_count;
-    observer_->OnUnblocked(ls.loop, ls.epoch, b.dst, b.iteration);
-    ls.buckets[b.iteration].gathered++;
-    s.prepare_list.erase(b.src);
-    const bool deferrable =
-        s.update_time.has_value() || !s.prepare_list.empty();
-    if (b.update.kind == kNoopUpdateKind) {
-      s.iter = std::max({s.iter, b.iteration + 1, ls.tau});
-      if (!deferrable) {
-        flush();
-        MaybePrepare(ls, s, out);
-      }
-      ++consumed;
-      continue;
-    }
-    if (b.iteration < s.merge_floor) {
-      if (!deferrable) {
-        flush();
-        MaybePrepare(ls, s, out);
-      }
-      ++consumed;
-      continue;
-    }
-    s.iter = std::max({s.iter, b.iteration + 1, ls.tau});
-    run.push_back(
-        BatchVertexProgram::QueuedUpdate{b.src, b.iteration, &b.update});
-    ++consumed;
-    if (!deferrable) {
-      flush();
-      MaybePrepare(ls, s, out);
-    }
-  }
-  flush();
-  return consumed;
 }
 
 void ProtocolStateMachine::RetryStalled(LoopState& ls, EngineActions* out) {
@@ -901,10 +789,6 @@ std::shared_ptr<ProgressMsg> ProtocolStateMachine::BuildReport(
 #endif
   report->min_work_iter = min_work;
   observer_->OnReport(ls.loop, index_, ls.active.size());
-
-  double progress_sum = 0.0;
-  for (const auto& [iter, p] : ls.progress) progress_sum += p;
-  report->progress_sum = progress_sum;
 
   SendToMaster(out, report);
   return report;

@@ -81,9 +81,6 @@ class ProtocolStateMachine {
 
   SessionTable& sessions() { return *sessions_; }
 
-  /// Logs the protocol state of every session (debugging aid for tests).
-  void DumpState() const;
-
  private:
   // Message handlers (one per engine payload type).
   void HandleInput(const InputMsg& msg, EngineActions* out);
@@ -106,14 +103,6 @@ class ProtocolStateMachine {
   void Commit(LoopState& ls, VertexSession& s, Iteration iteration,
               EngineActions* out);
   void ReleaseBlocked(LoopState& ls, EngineActions* out);
-  // Batch drain of consecutive same-vertex blocked updates through
-  // BatchVertexProgram::OnUpdateBatch. Consumes batch[i..) as long as the
-  // destination stays `s` and the per-update prepare check is provably a
-  // no-op; returns the index of the first unconsumed element.
-  size_t GatherUpdateRun(LoopState& ls, VertexSession& s,
-                         const BatchVertexProgram& prog,
-                         const std::vector<BlockedUpdate>& batch, size_t i,
-                         EngineActions* out);
   void RetryStalled(LoopState& ls, EngineActions* out);
 
   // Messages for a loop/epoch this processor has not created yet (the

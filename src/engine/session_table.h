@@ -33,7 +33,6 @@ struct LoopState {
   std::unordered_map<VertexId, VertexSession> vertices;
   std::map<Iteration, std::vector<BlockedUpdate>> blocked;
   std::map<Iteration, IterationCounters> buckets;
-  std::map<Iteration, double> progress;  // per-iteration progress metric
   std::unordered_set<VertexId> stalled;  // dirty but held by the bound
   // Sessions that are dirty or preparing, the only ones a progress
   // report's min_work_iter depends on (VertexSession::active_slot). Held by

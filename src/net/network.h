@@ -17,10 +17,6 @@
 
 namespace tornado {
 
-/// Transitional alias: the observer interface moved to the substrate seam
-/// (runtime/substrate.h) when the transport became pluggable.
-using NetworkObserver = TransportObserver;
-
 /// The simulated cluster fabric: node registry, host NICs, reliable
 /// channels (per-channel sequence numbers, transport acks, retransmission
 /// with exponential backoff, receiver-side dedup) and failure injection.
@@ -293,7 +289,7 @@ class Network final : public Transport {
   size_t link_stride_ = 0;
   std::set<uint64_t> down_links_;  // LinkKey(src, dst) of one-way cuts
   double handler_extra_cost_ = 0.0;
-  NetworkObserver* observer_ = nullptr;
+  TransportObserver* observer_ = nullptr;
 };
 
 }  // namespace tornado

@@ -268,11 +268,6 @@ size_t VersionedStore::DirtyVersionsLocked(LoopId loop) const {
   return it == loops_.end() ? 0 : it->second.dirty;
 }
 
-Iteration VersionedStore::DurableIterationLocked(LoopId loop) const {
-  auto it = loops_.find(loop);
-  return it == loops_.end() ? kNoIteration : it->second.durable;
-}
-
 void VersionedStore::TruncateAfterLocked(LoopId loop, Iteration iteration) {
   auto it = loops_.find(loop);
   if (it == loops_.end()) return;
@@ -345,17 +340,6 @@ size_t VersionedStore::PruneBelowLocked(LoopId loop, Iteration iteration) {
   CountVisits(prune_visits_, metric::kPruneChainsVisited, visited);
   MaybeCompact(data);
   return removed;
-}
-
-void VersionedStore::RecoverToDurableLocked(LoopId loop) {
-  auto it = loops_.find(loop);
-  if (it == loops_.end()) return;
-  const Iteration watermark = it->second.durable;
-  if (watermark == kNoIteration) {
-    loops_.erase(it);
-    return;
-  }
-  TruncateAfterLocked(loop, watermark);
 }
 
 void VersionedStore::DropLoopLocked(LoopId loop) { loops_.erase(loop); }

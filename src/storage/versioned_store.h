@@ -66,8 +66,8 @@ class VersionView {
 ///
 /// Durability model: a Put is immediately visible but only *durable* after
 /// a Flush covering its iteration (processors flush before reporting
-/// progress, Section 5.3). Recovery truncates each chain back to the
-/// durable watermark.
+/// progress, Section 5.3). A rollback (TruncateAfter) below the watermark
+/// lowers it with the chains.
 ///
 /// Layout: each chain is a flat iteration-sorted vector of
 /// (iteration, length, offset, input slot) entries whose iteration bytes
@@ -151,14 +151,6 @@ class VersionedStore {
                    std::move(input));
   }
 
-  /// Same, from a borrowed byte range (no intermediate vector). `data` must
-  /// not alias this store's own arenas unless the loops differ.
-  void PutBytes(LoopId loop, VertexId vertex, Iteration iteration,
-                const uint8_t* data, size_t size, InputBlob input = nullptr) {
-    const Guard guard = Lock();
-    PutBytesLocked(loop, vertex, iteration, data, size, std::move(input));
-  }
-
   /// Latest version with iteration <= `at`, or an absent view if none.
   VersionView Get(LoopId loop, VertexId vertex, Iteration at) const {
     const Guard guard = Lock();
@@ -212,12 +204,6 @@ class VersionedStore {
     return DirtyVersionsLocked(loop);
   }
 
-  /// Durable watermark of `loop` (kNoIteration if never flushed).
-  Iteration DurableIteration(LoopId loop) const {
-    const Guard guard = Lock();
-    return DurableIterationLocked(loop);
-  }
-
   /// Drops all versions newer than `iteration` (global rollback used when
   /// the computation restarts from the last terminated iteration).
   void TruncateAfter(LoopId loop, Iteration iteration) {
@@ -233,12 +219,6 @@ class VersionedStore {
   size_t PruneBelow(LoopId loop, Iteration iteration) {
     const Guard guard = Lock();
     return PruneBelowLocked(loop, iteration);
-  }
-
-  /// Drops everything newer than the durable watermark.
-  void RecoverToDurable(LoopId loop) {
-    const Guard guard = Lock();
-    RecoverToDurableLocked(loop);
   }
 
   /// Removes a finished branch loop's data.
@@ -351,10 +331,8 @@ class VersionedStore {
       REQUIRES(mu_);
   size_t FlushLocked(LoopId loop, Iteration iteration) REQUIRES(mu_);
   size_t DirtyVersionsLocked(LoopId loop) const REQUIRES(mu_);
-  Iteration DurableIterationLocked(LoopId loop) const REQUIRES(mu_);
   void TruncateAfterLocked(LoopId loop, Iteration iteration) REQUIRES(mu_);
   size_t PruneBelowLocked(LoopId loop, Iteration iteration) REQUIRES(mu_);
-  void RecoverToDurableLocked(LoopId loop) REQUIRES(mu_);
   void DropLoopLocked(LoopId loop) REQUIRES(mu_);
   size_t ForkLoopLocked(LoopId src, Iteration iteration, LoopId dst)
       REQUIRES(mu_);

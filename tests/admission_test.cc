@@ -1,6 +1,6 @@
 // Tests for branch-loop admission control (Section 5.2: queries fork "if
 // there are sufficient idle processors"; queued queries fork later against
-// a fresher snapshot) and for the DurableStore file-backed backend.
+// a fresher snapshot).
 
 #include <gtest/gtest.h>
 
@@ -10,7 +10,6 @@
 #include "algos/sssp.h"
 #include "core/cluster.h"
 #include "runtime/sim_substrate.h"
-#include "storage/durable_store.h"
 #include "stream/graph_stream.h"
 #include "tests/test_util.h"
 
@@ -84,94 +83,6 @@ TEST(AdmissionControlTest, UnlimitedByDefault) {
   ASSERT_EQ(records.size(), 2u);
   // Both forked immediately (no queueing).
   EXPECT_LT(records[1].fork_time - records[1].submit_time, 0.1);
-}
-
-// ---------------------------------------------------------------------------
-// DurableStore
-// ---------------------------------------------------------------------------
-
-class DurableStoreTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    path_ = ::testing::TempDir() + "/tornado_durable_" +
-            std::to_string(reinterpret_cast<uintptr_t>(this)) + ".log";
-    std::remove(path_.c_str());
-  }
-  void TearDown() override { std::remove(path_.c_str()); }
-  std::string path_;
-};
-
-TEST_F(DurableStoreTest, FlushPersistsAcrossReopen) {
-  {
-    DurableStore durable;
-    auto opened = durable.Open(path_);
-    ASSERT_TRUE(opened.ok());
-    EXPECT_EQ(*opened, 0u);
-    durable.Put(0, 1, 1, {10});
-    durable.Put(0, 1, 2, {20});
-    durable.Put(0, 2, 2, {22});
-    durable.Put(0, 1, 5, {50});  // beyond the flush watermark
-    auto flushed = durable.Flush(0, 3);
-    ASSERT_TRUE(flushed.ok());
-    EXPECT_EQ(*flushed, 3u);
-    ASSERT_TRUE(durable.Close().ok());
-  }
-  {
-    DurableStore durable;
-    auto opened = durable.Open(path_);
-    ASSERT_TRUE(opened.ok());
-    EXPECT_EQ(*opened, 3u);
-    EXPECT_EQ(durable.store().Get(0, 1, 3)[0], 20);
-    EXPECT_EQ(durable.store().Get(0, 2, 3)[0], 22);
-    const VersionView at10 = durable.store().Get(0, 1, 10);
-    EXPECT_EQ(!at10 ? 0 : at10[0], 20)
-        << "unflushed version must not survive the restart";
-  }
-}
-
-TEST_F(DurableStoreTest, SecondFlushOnlyAppendsNewVersions) {
-  DurableStore durable;
-  ASSERT_TRUE(durable.Open(path_).ok());
-  durable.Put(0, 1, 1, {1});
-  ASSERT_EQ(*durable.Flush(0, 1), 1u);
-  durable.Put(0, 1, 2, {2});
-  durable.Put(0, 3, 2, {3});
-  auto flushed = durable.Flush(0, 2);
-  ASSERT_TRUE(flushed.ok());
-  EXPECT_EQ(*flushed, 2u) << "already-durable versions re-appended";
-  EXPECT_TRUE(durable.Close().ok());
-}
-
-TEST_F(DurableStoreTest, FlushWithoutOpenFails) {
-  DurableStore durable;
-  durable.Put(0, 1, 1, {1});
-  EXPECT_FALSE(durable.Flush(0, 1).ok());
-}
-
-TEST_F(DurableStoreTest, AutoFlushMakesWritesDurableOnThePeriod) {
-  EventLoop loop;
-  SimScheduler scheduler(&loop);
-  DurableStore durable;
-  ASSERT_TRUE(durable.Open(path_).ok());
-  durable.ScheduleAutoFlush(&scheduler, /*period=*/0.5);
-
-  durable.Put(0, 1, 1, {1});
-  loop.RunUntil(0.4);
-  EXPECT_EQ(durable.store().DirtyVersions(0), 1u) << "flushed too early";
-  loop.RunUntil(0.6);
-  EXPECT_EQ(durable.store().DirtyVersions(0), 0u);
-  EXPECT_EQ(durable.auto_flushes(), 1u);
-
-  // The timer re-arms: a later write goes durable on the next tick.
-  durable.Put(0, 2, 3, {3});
-  loop.RunUntil(1.1);
-  EXPECT_EQ(durable.store().DirtyVersions(0), 0u);
-
-  // Close cancels the schedule; no further ticks fire.
-  ASSERT_TRUE(durable.Close().ok());
-  const uint64_t ticks = durable.auto_flushes();
-  loop.RunUntil(5.0);
-  EXPECT_EQ(durable.auto_flushes(), ticks);
 }
 
 }  // namespace

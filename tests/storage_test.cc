@@ -8,7 +8,6 @@
 
 #include "common/metrics.h"
 #include "storage/checkpoint_log.h"
-#include "storage/durable_store.h"
 #include "storage/versioned_store.h"
 #include "tests/test_util.h"
 
@@ -53,7 +52,9 @@ TEST(VersionedStoreTest, FlushTracksDurabilityAndDirtyCount) {
   EXPECT_EQ(store.DirtyVersions(0), 3u);
   EXPECT_EQ(store.Flush(0, 2), 2u);
   EXPECT_EQ(store.DirtyVersions(0), 1u);
-  EXPECT_EQ(store.DurableIteration(0), 2u);
+  // A put at or below the watermark is durable at once.
+  store.Put(0, 4, 2, Bytes({4}));
+  EXPECT_EQ(store.DirtyVersions(0), 1u);
   // Flushing below the watermark is a no-op.
   EXPECT_EQ(store.Flush(0, 1), 0u);
   EXPECT_EQ(store.Flush(0, 10), 1u);
@@ -68,20 +69,6 @@ TEST(VersionedStoreTest, TruncateAfterDropsNewerVersions) {
   store.TruncateAfter(0, 3);
   EXPECT_EQ(store.VersionCount(0, 1), 3u);
   EXPECT_EQ(store.GetLatest(0, 1)[0], 3);
-}
-
-TEST(VersionedStoreTest, RecoverToDurableDropsUnflushed) {
-  VersionedStore store;
-  store.Put(0, 1, 1, Bytes({1}));
-  store.Flush(0, 1);
-  store.Put(0, 1, 2, Bytes({2}));
-  store.RecoverToDurable(0);
-  EXPECT_EQ(store.GetLatest(0, 1)[0], 1);
-
-  // A never-flushed loop disappears entirely.
-  store.Put(9, 1, 1, Bytes({1}));
-  store.RecoverToDurable(9);
-  EXPECT_FALSE(store.GetLatest(9, 1));
 }
 
 TEST(VersionedStoreTest, PruneBelowKeepsSnapshotBase) {
@@ -200,13 +187,14 @@ TEST(VersionedStoreTest, DroppingTheLastReferenceFreesTheBlob) {
   EXPECT_EQ(store.TotalBytes(), 1u + 64u);
 }
 
-TEST(VersionedStoreTest, TruncateRecoverAndOverwriteReleaseBlobs) {
+TEST(VersionedStoreTest, TruncateAndOverwriteReleaseBlobs) {
   VersionedStore store;
-  std::weak_ptr<const std::vector<uint8_t>> truncated, recovered, overwritten;
+  std::weak_ptr<const std::vector<uint8_t>> truncated, rolled_back,
+      overwritten;
   {
     const InputBlob a = Blob(8, 1), b = Blob(8, 2), c = Blob(8, 3);
     truncated = a;
-    recovered = b;
+    rolled_back = b;
     overwritten = c;
     store.Put(0, 1, 1, Bytes({1}), c);
     store.Put(0, 1, 1, Bytes({1}), nullptr);  // overwrite, no input part
@@ -218,8 +206,8 @@ TEST(VersionedStoreTest, TruncateRecoverAndOverwriteReleaseBlobs) {
   EXPECT_FALSE(store.Get(0, 1, 1).input());
   store.TruncateAfter(0, 4);
   EXPECT_TRUE(truncated.expired());
-  store.RecoverToDurable(0);
-  EXPECT_TRUE(recovered.expired());
+  store.TruncateAfter(0, 1);  // back to the flushed version
+  EXPECT_TRUE(rolled_back.expired());
   EXPECT_EQ(store.TotalBytes(), 1u);
 }
 
@@ -249,18 +237,20 @@ TEST(VersionedStoreTest, TruncateAfterRestoresDirtyAcrossDurableWatermark) {
   // Dropping one dirty version restores the pending-I/O count.
   store.TruncateAfter(0, 3);
   EXPECT_EQ(store.DirtyVersions(0), 1u);
-  EXPECT_EQ(store.DurableIteration(0), 2u);
+  EXPECT_EQ(store.Flush(0, 2), 0u);  // the watermark stays at 2
 
   // Truncating below the watermark drops the remaining dirty version and a
   // durable one: dirty hits zero (not negative) and the watermark follows
   // the truncation point down.
   store.TruncateAfter(0, 1);
   EXPECT_EQ(store.DirtyVersions(0), 0u);
-  EXPECT_EQ(store.DurableIteration(0), 1u);
   EXPECT_EQ(store.GetLatest(0, 1)[0], 1);
 
-  // A re-put above the lowered watermark counts as dirty again.
+  // A re-put above the lowered watermark counts as dirty again; one at it
+  // does not.
   store.Put(0, 1, 2, Bytes({22}));
+  EXPECT_EQ(store.DirtyVersions(0), 1u);
+  store.Put(0, 2, 1, Bytes({21}));
   EXPECT_EQ(store.DirtyVersions(0), 1u);
 }
 
@@ -378,28 +368,6 @@ TEST_F(CheckpointLogTest, ReplaysBothStateParts) {
   ASSERT_NE(with_input.input(), nullptr);
   EXPECT_EQ(*with_input.input(), input);
   EXPECT_EQ(store.GetLatest(0, 2).input(), nullptr);
-}
-
-TEST_F(CheckpointLogTest, DurableStoreFlushesAndReopensBothParts) {
-  const InputBlob input = Blob(40, 6);
-  {
-    DurableStore durable;
-    ASSERT_TRUE(durable.Open(path_).ok());
-    durable.Put(0, 1, 1, Bytes({1}), input);
-    durable.Put(0, 1, 2, Bytes({2}), input);
-    ASSERT_TRUE(durable.Flush(0, 2).ok());
-    ASSERT_TRUE(durable.Close().ok());
-  }
-  DurableStore reopened;
-  ASSERT_TRUE(reopened.Open(path_).ok());
-  for (Iteration at : {1u, 2u}) {
-    const VersionView got = reopened.store().Get(0, 1, at);
-    ASSERT_TRUE(got);
-    EXPECT_EQ(got[0], at);
-    ASSERT_NE(got.input(), nullptr);
-    EXPECT_EQ(*got.input(), *input);
-  }
-  ASSERT_TRUE(reopened.Close().ok());
 }
 
 TEST_F(CheckpointLogTest, TornTailIsIgnored) {

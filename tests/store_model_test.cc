@@ -2,7 +2,7 @@
 // operation sequence is mirrored into a trivially-correct reference model
 // (map of maps) and both must agree on every read — iteration bytes and
 // input blob, which puts draw fresh or reuse from earlier puts — including
-// after flush, truncate, prune, fork, merge, recover and drop. They must
+// after flush, truncate, prune, fork, merge and drop. They must
 // also agree on what Flush and PruneBelow return and on the dirty and
 // total version counts after every operation, since the store keeps those
 // incrementally rather than by scanning its chains.
@@ -81,16 +81,6 @@ class StoreModel {
       for (const auto& [vertex, chain] : vertices) total += chain.size();
     }
     return total;
-  }
-
-  void RecoverToDurable(LoopId loop) {
-    auto d = durable_.find(loop);
-    if (d == durable_.end() || d->second == 0) {
-      data_.erase(loop);
-      durable_.erase(loop);
-      return;
-    }
-    TruncateAfter(loop, d->second - 1);
   }
 
   void Drop(LoopId loop) {
@@ -240,11 +230,6 @@ TEST_P(StoreModelTest, RandomOpsAgreeWithModel) {
         ASSERT_EQ(store.Flush(loop, at), model.Flush(loop, at))
             << "op " << op << " loop " << loop << " at " << at;
         break;  // durability watermark must not affect reads
-      }
-      case 97: {
-        store.RecoverToDurable(loop);
-        model.RecoverToDurable(loop);
-        break;
       }
       case 98: {
         store.DropLoop(loop);
