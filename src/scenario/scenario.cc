@@ -386,15 +386,18 @@ class ObjectReader {
     }
   }
 
-  void ReadString(const std::string& key, std::string* out,
+  /// Returns whether `key` held a string (an empty one included); a
+  /// missing or mistyped key has already been reported.
+  bool ReadString(const std::string& key, std::string* out,
                   bool required = false) {
     const JsonValue* v = Take(key, required);
-    if (v == nullptr) return;
+    if (v == nullptr) return false;
     if (!v->is_string()) {
       Error(key, "expected string");
-      return;
+      return false;
     }
     *out = v->string_value;
+    return true;
   }
 
   template <typename S>
@@ -469,12 +472,12 @@ void ReadCost(ObjectReader* reader, std::map<std::string, double>* out) {
 
 void ReadWorkloadKind(ObjectReader* reader, ScenarioWorkload::Kind* out) {
   std::string kind;
-  reader->ReadString("kind", &kind, /*required=*/true);
+  if (!reader->ReadString("kind", &kind, /*required=*/true)) return;
   const auto* row = std::ranges::find(kWorkloadKinds, kind,
                                       &WorkloadName::name);
   if (row != std::end(kWorkloadKinds)) {
     *out = row->kind;
-  } else if (!kind.empty()) {
+  } else {
     std::string want;
     const size_t n = std::size(kWorkloadKinds);
     for (size_t i = 0; i < n; ++i) {
@@ -491,7 +494,7 @@ void ReadAction(const JsonValue& value, const std::string& path,
   ObjectReader reader(value, path, &ctx);
   if (!reader.valid()) return;
   std::string name;
-  reader.ReadString("action", &name, /*required=*/true);
+  const bool named = reader.ReadString("action", &name, /*required=*/true);
   reader.Read(kAtField, out, /*required=*/true);
   const auto* row = std::ranges::find(kActions, name, &ActionRow::name);
   if (row != std::end(kActions)) {
@@ -505,7 +508,7 @@ void ReadAction(const JsonValue& value, const std::string& path,
         value.Find("dst") != nullptr && out->src == out->dst) {
       ctx.Error(path, "src and dst must differ");
     }
-  } else if (!name.empty()) {
+  } else if (named) {
     reader.Error("action", "unknown action \"" + name + "\"");
   }
   reader.RejectUnknown();

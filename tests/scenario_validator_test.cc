@@ -114,6 +114,35 @@ TEST(ScenarioValidatorTest, RemovedKnobsAreUnknownFields) {
   }
 }
 
+// A name that is present but empty is as unknown as any other: it gets
+// the unknown-name message (it used to validate silently and run as the
+// first table row). A missing name keeps its one missing-field message.
+TEST(ScenarioValidatorTest, EmptyNamesAreUnknownAndMissingOnesReportedOnce) {
+  const std::string workload = R"("workload": {"kind": "sssp"})";
+  const struct {
+    std::string doc;
+    std::vector<std::string> errors;
+  } cases[] = {
+      {R"("workload": {"kind": ""})",
+       {"scenario.workload.kind: unknown workload \"\" (want sssp, "
+        "pagerank, kmeans, sgd_svm or sgd_lr)"}},
+      {R"("workload": {"rate": 10000})",
+       {"scenario.workload.kind: missing required field"}},
+      {workload + R"(, "timeline": [{"action": "", "at": 0}])",
+       {"scenario.timeline[0].action: unknown action \"\""}},
+      {workload + R"(, "timeline": [{"at": 0}])",
+       {"scenario.timeline[0].action: missing required field"}},
+  };
+  for (const auto& c : cases) {
+    Scenario scenario;
+    std::vector<std::string> errors;
+    EXPECT_FALSE(
+        ParseScenarioText(R"({"name": "x", )" + c.doc + "}", &scenario,
+                          &errors));
+    EXPECT_EQ(errors, c.errors) << c.doc;
+  }
+}
+
 TEST(ScenarioValidatorTest, WrongTypeNamesTheExpectedType) {
   const auto errors = ErrorsOf("bad_wrong_type.json");
   EXPECT_TRUE(Contains(errors, "scenario.workload.rate: expected number"))
