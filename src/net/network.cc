@@ -66,8 +66,6 @@ void Network::Send(NodeId src, NodeId dst, PayloadPtr payload, bool reliable) {
         ChannelIn(LinkOf(src, dst).send, sender.incarnation, dst_inc);
     seq = ch.next_seq++;
     PendingSend pending;
-    pending.dst = dst;
-    pending.dst_inc = dst_inc;
     pending.payload = payload;
     pending.timeout = cost_.ack_timeout;
     pending.deadline = loop_->now() + cost_.ack_timeout;
@@ -258,16 +256,14 @@ void Network::ApplyAck(NodeId src, uint32_t src_inc, NodeId dst,
   }
   // Selective part: sequences the receiver held out-of-order when the ack
   // was captured (already sorted — rc.held iterates in sequence order).
+  // They stop being retransmitted but stay live: the receiver delivers
+  // them only once the gap before them fills, which a later cumulative
+  // ack reports.
   for (const uint64_t held_seq : sacks) {
     if (held_seq < ch.base_seq) continue;
     const size_t idx = static_cast<size_t>(held_seq - ch.base_seq);
     if (idx >= ch.window.size()) continue;
-    PendingSend& p = ch.window[idx];
-    if (!p.done) {
-      p.done = true;
-      p.payload.reset();
-      --ch.live;
-    }
+    ch.window[idx].sacked = true;
   }
   TrimWindow(ch);
 
@@ -314,29 +310,44 @@ void Network::ChannelTimerFired(NodeId src, uint32_t src_inc, NodeId dst,
   bool has_next = false;
   // Receiver-restart migrations are deferred: Send() may add a channel to
   // this link, so nothing may touch `ch` after the first migration.
-  std::vector<std::pair<NodeId, PayloadPtr>> migrate;
+  std::vector<PayloadPtr> migrate;
+  const bool receiver_restarted = nodes_[dst].incarnation != dst_inc;
+  bool earlier_waits = false;  // an earlier copy is not due yet
 
   for (size_t i = 0; i < ch.window.size(); ++i) {
     PendingSend& p = ch.window[i];
     if (p.done) continue;
+    if (p.sacked) {
+      // Held by the receiver: nothing to retransmit while it lives. Its
+      // restart lost the copy, which then follows the copies before it
+      // onto the fresh channel, in sequence order.
+      if (receiver_restarted && !earlier_waits) {
+        c_retransmitted_->fetch_add(1, std::memory_order_relaxed);
+        migrate.push_back(std::move(p.payload));
+        p.done = true;
+        --ch.live;
+      }
+      continue;
+    }
     if (p.deadline > now) {
       if (!has_next || p.deadline < next_deadline) next_deadline = p.deadline;
       has_next = true;
+      earlier_waits = true;
       continue;
     }
     const uint64_t seq = ch.base_seq + i;
-    if (nodes_[p.dst].incarnation != p.dst_inc) {
+    if (receiver_restarted) {
       // The receiver restarted: this channel is dead. Migrate the message
       // onto a fresh channel toward the new incarnation (at-least-once
       // across receiver restarts, Section 5.3).
       c_retransmitted_->fetch_add(1, std::memory_order_relaxed);
-      migrate.emplace_back(p.dst, std::move(p.payload));
+      migrate.push_back(std::move(p.payload));
       p.done = true;
       --ch.live;
       continue;
     }
     if (++p.retries > 64) {
-      TLOG_WARN << "dropping message after 64 retransmissions (dst=" << p.dst
+      TLOG_WARN << "dropping message after 64 retransmissions (dst=" << dst
                 << ")";
       p.done = true;
       p.payload.reset();
@@ -347,7 +358,7 @@ void Network::ChannelTimerFired(NodeId src, uint32_t src_inc, NodeId dst,
     p.deadline = now + p.timeout;
     if (!has_next || p.deadline < next_deadline) next_deadline = p.deadline;
     has_next = true;
-    TransmitToHost(src, p.dst, src_inc, seq, p.payload, /*reliable=*/true,
+    TransmitToHost(src, dst, src_inc, seq, p.payload, /*reliable=*/true,
                    /*retransmit=*/true);
   }
   TrimWindow(ch);
@@ -358,8 +369,8 @@ void Network::ChannelTimerFired(NodeId src, uint32_t src_inc, NodeId dst,
     EnsureChannelTimer(src, dst, ch, next_deadline);
   }
 
-  for (auto& [migrate_dst, payload] : migrate) {
-    Send(src, migrate_dst, std::move(payload), /*reliable=*/true);
+  for (PayloadPtr& payload : migrate) {
+    Send(src, dst, std::move(payload), /*reliable=*/true);
   }
 }
 

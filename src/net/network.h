@@ -130,8 +130,12 @@ class Network final : public Transport {
   // Sender-side reliable channel bookkeeping. Sequence numbers are dense
   // (next_seq++ per send), so the unacked set is a contiguous window
   // [base_seq, base_seq + window.size()) held in a deque — no per-message
-  // map nodes — with `done` marking acked/dropped holes until the front
-  // can advance. One deadline-ordered retransmit timer serves the whole
+  // map nodes — with `done` marking migrated/dropped holes until the front
+  // can advance. A copy the receiver holds out of order (selectively
+  // acked) is `sacked`: it is never retransmitted to that incarnation, but
+  // it keeps its payload, because only a cumulative ack means the receiver
+  // delivered it; if the receiver restarts first, the copy migrates to the
+  // new incarnation with the unacknowledged ones. One deadline-ordered retransmit timer serves the whole
   // channel: it is armed at (a lower bound of) the earliest live deadline,
   // re-scanned and re-armed when it fires, and cancelled when the window
   // drains. Acks can only push the earliest deadline later, so leaving the
@@ -139,13 +143,12 @@ class Network final : public Transport {
   // wakeup per ack-timeout — far cheaper than the per-message timer
   // schedule/cancel churn this replaces.
   struct PendingSend {
-    NodeId dst = 0;
-    uint32_t dst_inc = 0;  // receiver incarnation the channel targets
     PayloadPtr payload;
     double timeout = 0.0;   // current backoff
     double deadline = 0.0;  // absolute next-retransmit time
     int retries = 0;
-    bool done = false;  // acked (or dropped); awaiting front advance
+    bool sacked = false;  // held by the receiver, not yet delivered
+    bool done = false;    // migrated or dropped; awaiting front advance
   };
   struct SendChannel {
     uint32_t src_inc = 0;  // incarnations of the endpoints it connects
@@ -153,7 +156,7 @@ class Network final : public Transport {
     uint64_t next_seq = 1;
     uint64_t base_seq = 1;  // seq of window.front()
     std::deque<PendingSend> window;
-    size_t live = 0;  // window entries with done == false
+    size_t live = 0;  // window entries with done == false (sacked included)
     EventId timer = 0;
     double timer_deadline = 0.0;
   };
