@@ -13,8 +13,10 @@
 set -euo pipefail
 
 root="$(cd "$(dirname "$0")/.." && pwd)"
-build="${1:-$root/build}"
-out="${2:-$root/bench/outputs}"
+# Absolute paths: each bench runs from a scratch directory (below).
+build="$(cd "${1:-$root/build}" && pwd)"
+mkdir -p "${2:-$root/bench/outputs}"
+out="$(cd "${2:-$root/bench/outputs}" && pwd)"
 jobs="${JOBS:-4}"
 
 shopt -s nullglob
@@ -30,7 +32,6 @@ for src in "${benches[@]}"; do
   names+=("$name")
 done
 
-mkdir -p "$out"
 # Each bench runs in a scratch directory so files it may write beside
 # itself never land in the tree.
 scratch="$(mktemp -d)"
