@@ -581,11 +581,11 @@ void ProtocolStateMachine::ReleaseBlocked(LoopState& ls, EngineActions* out) {
     std::vector<BlockedUpdate> batch = std::move(ls.blocked.begin()->second);
     ls.blocked.erase(ls.blocked.begin());
     for (const BlockedUpdate& b : batch) {
+      VertexSession& s = GetOrCreateVertex(ls, b.dst);
       TCHECK_GE(ls.blocked_count, 1u);
       --ls.blocked_count;
       observer_->OnUnblocked(ls.loop, ls.epoch, b.dst, b.iteration);
-      GatherUpdate(ls, GetOrCreateVertex(ls, b.dst), b.src, b.iteration,
-                   b.update, out);
+      GatherUpdate(ls, s, b.src, b.iteration, b.update, out);
     }
   }
 }

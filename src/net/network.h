@@ -135,10 +135,10 @@ class Network final : public Transport {
   // acked) is `sacked`: it is never retransmitted to that incarnation, but
   // it keeps its payload, because only a cumulative ack means the receiver
   // delivered it; if the receiver restarts first, the copy migrates to the
-  // new incarnation with the unacknowledged ones. One deadline-ordered retransmit timer serves the whole
-  // channel: it is armed at (a lower bound of) the earliest live deadline,
-  // re-scanned and re-armed when it fires, and cancelled when the window
-  // drains. Acks can only push the earliest deadline later, so leaving the
+  // new incarnation with the unacknowledged ones. One deadline-ordered
+  // retransmit timer serves the whole channel: it is armed at (a lower
+  // bound of) the earliest live deadline, re-scanned and re-armed when it
+  // fires, and cancelled when the window drains. Acks can only push the earliest deadline later, so leaving the
   // timer in place on ack keeps the bound valid at worst one spurious
   // wakeup per ack-timeout — far cheaper than the per-message timer
   // schedule/cancel churn this replaces.

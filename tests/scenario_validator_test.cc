@@ -114,9 +114,9 @@ TEST(ScenarioValidatorTest, RemovedKnobsAreUnknownFields) {
   }
 }
 
-// A name that is present but empty is as unknown as any other: it gets
-// the unknown-name message (it used to validate silently and run as the
-// first table row). A missing name keeps its one missing-field message.
+// A name that is present but empty is as unknown as any other and gets
+// the unknown-name message; a missing name gets only its missing-field
+// message.
 TEST(ScenarioValidatorTest, EmptyNamesAreUnknownAndMissingOnesReportedOnce) {
   const std::string workload = R"("workload": {"kind": "sssp"})";
   const struct {
